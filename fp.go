@@ -93,7 +93,8 @@ func FromEdges(n int, edges [][2]int) (*Graph, error) { return graph.FromEdges(n
 func MustFromEdges(n int, edges [][2]int) *Graph { return graph.MustFromEdges(n, edges) }
 
 // ReadEdgeList parses a whitespace-separated edge list ("u v" per line,
-// '#' comments; non-numeric tokens become node labels).
+// '#' comments). Tokens are node ids when every token is a plain decimal
+// id; otherwise all of them become node labels.
 func ReadEdgeList(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
 
 // ReadWeightedEdgeList parses the "u v p" format carrying per-edge relay

@@ -203,8 +203,9 @@ func (d *Dynamic) HasEdge(u, v int) bool {
 }
 
 // Snapshot materializes the current edge set as an immutable Digraph
-// (labels are not carried). Cost is O(n + m log m); use it for
-// interoperating with the placement algorithms and for serving reads.
+// (labels are not carried). Cost is O(n + m) plus a sort of each
+// out-row not already ascending; use it for interoperating with the
+// placement algorithms and for serving reads.
 func (d *Dynamic) Snapshot() *graph.Digraph {
 	b := graph.NewBuilder(len(d.ord))
 	for u := range d.out {

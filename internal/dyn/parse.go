@@ -9,6 +9,7 @@ import (
 // ParseBatch parses the text form of a mutation batch, one mutation per
 // line:
 //
+//	line     meaning
 //	+ u v    insert edge (u, v)
 //	- u v    remove edge (u, v)
 //	n k      append k fresh nodes

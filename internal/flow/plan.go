@@ -514,7 +514,7 @@ func (p *Plan) sumPhi(rec, emit []float64) float64 {
 // ascending original-id order, the exact Digraph contract, so rows are a
 // straight position→id translation. NewModelFromPlan uses this to stand
 // up a fresh Model over a spliced plan without paying the overlay
-// snapshot's O(m log m) sort.
+// snapshot's edge copy and row sorts.
 func (p *Plan) Digraph() *graph.Digraph {
 	n := p.n
 	outOff := make([]int, n+1)

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates edges and produces an immutable Digraph. The zero
@@ -76,57 +76,81 @@ func (b *Builder) AddEdges(edges [][2]int) {
 // Build assembles the immutable Digraph. Unless AllowParallelEdges was
 // called, duplicate edges are collapsed. Build returns an error when a
 // self-loop is present.
+//
+// The out-CSR is a counting sort of the edges by source. A row is sorted
+// only when it is not already ascending, so edge lists written in source
+// order (WriteEdgeList output, most parsed files) never sort, and
+// duplicates are dropped in place. The in-CSR transposes the out-rows in
+// ascending source order, which leaves every in-row ascending too.
 func (b *Builder) Build() (*Digraph, error) {
+	n := b.n
+	outOff := make([]int, n+1)
 	for _, e := range b.edges {
 		if e[0] == e[1] {
 			return nil, fmt.Errorf("graph: self-loop at node %d", e[0])
 		}
+		outOff[e[0]+1]++
 	}
-	es := append([][2]int(nil), b.edges...)
-	sort.Slice(es, func(i, j int) bool {
-		if es[i][0] != es[j][0] {
-			return es[i][0] < es[j][0]
+	prefixSum(outOff)
+	outAdj := make([]int, len(b.edges))
+	// The offsets double as fill cursors: after the scatter, outOff[u]
+	// has advanced to the end of row u, i.e. to the start of row u+1.
+	for _, e := range b.edges {
+		outAdj[outOff[e[0]]] = e[1]
+		outOff[e[0]]++
+	}
+	unshift(outOff)
+
+	m := 0
+	for u := 0; u < n; u++ {
+		row := outAdj[outOff[u]:outOff[u+1]]
+		if !slices.IsSorted(row) {
+			slices.Sort(row)
 		}
-		return es[i][1] < es[j][1]
-	})
-	if !b.allowParallel {
-		es = dedupeEdges(es)
+		outOff[u] = m
+		if b.allowParallel {
+			m += len(row) // rows stay in place: nothing is dropped
+			continue
+		}
+		start := m
+		for _, v := range row {
+			if m == start || outAdj[m-1] != v {
+				outAdj[m] = v
+				m++
+			}
+		}
 	}
+	outOff[n] = m
+	outAdj = outAdj[:m]
 
-	g := &Digraph{n: b.n}
-	g.outOff = make([]int, b.n+1)
-	g.outAdj = make([]int, len(es))
-	for _, e := range es {
-		g.outOff[e[0]+1]++
+	inOff := make([]int, n+1)
+	for _, v := range outAdj {
+		inOff[v+1]++
 	}
-	for v := 0; v < b.n; v++ {
-		g.outOff[v+1] += g.outOff[v]
+	prefixSum(inOff)
+	inAdj := make([]int, m)
+	for u := 0; u < n; u++ {
+		for _, v := range outAdj[outOff[u]:outOff[u+1]] {
+			inAdj[inOff[v]] = u
+			inOff[v]++
+		}
 	}
-	fill := make([]int, b.n)
-	for _, e := range es {
-		g.outAdj[g.outOff[e[0]]+fill[e[0]]] = e[1]
-		fill[e[0]]++
-	}
+	unshift(inOff)
+	return &Digraph{n: n, outOff: outOff, outAdj: outAdj, inOff: inOff, inAdj: inAdj}, nil
+}
 
-	// In-CSR: counting sort of the same edge set keyed by target. A second
-	// pass keyed by (v, u) keeps each in-adjacency list sorted because the
-	// primary sort above already ordered sources ascending.
-	g.inOff = make([]int, b.n+1)
-	g.inAdj = make([]int, len(es))
-	for _, e := range es {
-		g.inOff[e[1]+1]++
+// prefixSum turns per-row counts stored at off[v+1] into row offsets.
+func prefixSum(off []int) {
+	for v := 1; v < len(off); v++ {
+		off[v] += off[v-1]
 	}
-	for v := 0; v < b.n; v++ {
-		g.inOff[v+1] += g.inOff[v]
-	}
-	for i := range fill {
-		fill[i] = 0
-	}
-	for _, e := range es {
-		g.inAdj[g.inOff[e[1]]+fill[e[1]]] = e[0]
-		fill[e[1]]++
-	}
-	return g, nil
+}
+
+// unshift restores row offsets after a scatter that used them as fill
+// cursors: each off[v] then holds the start of row v+1.
+func unshift(off []int) {
+	copy(off[1:], off[:len(off)-1])
+	off[0] = 0
 }
 
 // MustBuild is Build for graphs known to be well-formed; it panics on error.
@@ -136,19 +160,6 @@ func (b *Builder) MustBuild() *Digraph {
 		panic(err)
 	}
 	return g
-}
-
-func dedupeEdges(es [][2]int) [][2]int {
-	if len(es) == 0 {
-		return es
-	}
-	out := es[:1]
-	for _, e := range es[1:] {
-		if e != out[len(out)-1] {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // FromEdges builds a graph with n nodes from an explicit edge list. It is a

@@ -46,8 +46,8 @@ type Digraph struct {
 // is in ascending order; and the in-CSR is the exact transpose of the
 // out-CSR. Only structural sizes are validated here — the trusted
 // producer is flow.Plan.Digraph, whose rows carry these invariants by
-// construction, letting the PATCH path rebuild a model in O(n+m) instead
-// of the builder's O(m log m) sort.
+// construction, letting the PATCH path rebuild a model straight from its
+// rows instead of collecting an edge list for the builder.
 func FromCSR(n int, outOff, outAdj, inOff, inAdj []int) *Digraph {
 	if n < 0 || len(outOff) != n+1 || len(inOff) != n+1 ||
 		outOff[n] != len(outAdj) || inOff[n] != len(inAdj) ||

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -521,6 +522,73 @@ func TestEdgeListEmpty(t *testing.T) {
 	}
 	if g.N() != 0 || g.M() != 0 {
 		t.Errorf("empty input produced (%d,%d)", g.N(), g.M())
+	}
+}
+
+// TestParseEdgeListMatchesReference pins the inputs that sit on the
+// scanner's fallback boundaries against the pre-scanner parser: same
+// graph (labels included) or same error text.
+func TestParseEdgeListMatchesReference(t *testing.T) {
+	for _, in := range []string{
+		"0 1\n1 2\n",
+		"0 1",                        // no final newline
+		"  0\t1 \r\n\v\f\n#c\n2 3\n", // ASCII separators and blank lines
+		"1\u00a02\n",                 // Unicode whitespace: still the numeric edge 1→2
+		"\u00a0# comment\n0 1\n",
+		"0 1\n# caf\u00e9\n1 2\n", // non-ASCII inside a comment
+		"+1 7\n",                  // not a plain decimal id: labels
+		"0 1\nx 1\n",              // one label turns the whole file to labels
+		"0 1 2\n",
+		"0\n",
+		"0 1 # trailing\n",
+		"0 1\n\xff 2\n",
+		"1 1\n",
+		"2 1\n0 2\n0 1\n2 1\n",        // unsorted rows and a duplicate
+		"00000000000000000000001 2\n", // leading zeros past the scanner's digit cap
+		"99999999999999999999 1\n",    // overflow
+		"1 99999999999999999999\n",
+		// The longest line the line reader accepts (with its newline, it
+		// fills the reader's buffer), and one byte more.
+		"0 " + strings.Repeat(" ", maxLineBytes-4) + "1\n",
+		"0 " + strings.Repeat(" ", maxLineBytes-3) + "1\n",
+	} {
+		want, wantErr := refReadEdgeList(strings.NewReader(in))
+		got, err := ParseEdgeList(in, Limits{})
+		short := in
+		if len(short) > 40 {
+			short = short[:40] + "..."
+		}
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Errorf("%q: error = %v, reference %v", short, err, wantErr)
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%q: graph = %+v, reference %+v", short, got, want)
+		}
+	}
+}
+
+func TestParseEdgeListLimits(t *testing.T) {
+	lim := Limits{MaxEdges: 3, MaxNodeID: 100}
+	cases := []struct{ in, err string }{
+		{"0 100\n", ""},
+		{"0 101\n", "node id 101 exceeds the upload limit of 100"},
+		{"0 1\n1 2\n2 3\n# comments do not count\n\n", ""},
+		{"0 1\n1 2\n2 3\n3 4\n", "edge list exceeds 3 edges"},
+		{"a b\nb c\nc d\nd e\n", "edge list exceeds 3 edges"},
+		// Label files have no id cap: +1 is not a plain decimal id.
+		{"+1 7000000\n", ""},
+		{"0 7000000\nx y\n", ""},
+		// Ids past the scanner's digit cap get the same checks.
+		{"999999999999999999 0\n", "node id 999999999999999999 exceeds the upload limit of 100"},
+		{"1000000000000000000 0\n", "node id 1000000000000000000 exceeds the upload limit of 100"},
+		{"0\u00a0101\n", "node id 101 exceeds the upload limit of 100"},
+	}
+	for _, c := range cases {
+		_, err := ParseEdgeList(c.in, lim)
+		if got := fmt.Sprint(err); (c.err == "" && err != nil) || (c.err != "" && got != c.err) {
+			t.Errorf("%q: error = %v, want %q", c.in, err, c.err)
+		}
 	}
 }
 

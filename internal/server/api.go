@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -24,11 +25,26 @@ type errorBody struct {
 	RetryAfterSeconds int    `json:"retry_after_seconds,omitempty"`
 }
 
+// writeJSON encodes v before it sends the status, so a value JSON cannot
+// carry (a non-finite float) becomes a 500 error body with the request
+// id rather than a 200 with an empty body.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		s.logf("fpd: encode response: %v", err)
+		s.metrics.RequestErrors.Add(1)
+		status = http.StatusInternalServerError
+		buf.Reset()
+		// An errorBody holds only strings and ints: it always encodes.
+		_ = json.NewEncoder(&buf).Encode(errorBody{
+			Error:     fmt.Sprintf("encode response: %v", err),
+			RequestID: w.Header().Get("X-Request-ID"),
+		})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.logf("fpd: encode response: %v", err)
+	if _, err := w.Write(buf.Bytes()); err != nil {
+		s.logf("fpd: write response: %v", err)
 	}
 }
 

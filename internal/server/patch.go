@@ -30,8 +30,8 @@ type PatchSpec struct {
 
 // maxPatchAddNodes bounds node growth per batch: edge lists cost body
 // bytes, but a tiny "add_nodes" number would otherwise allocate adjacency
-// state for billions of nodes (the same OOM vector checkEdgeListBounds
-// closes for uploads).
+// state for billions of nodes (the same OOM vector the upload limits on
+// node ids close).
 const maxPatchAddNodes = 1_000_000
 
 // batch merges the structural and text mutation forms.

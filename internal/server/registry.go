@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -16,9 +15,10 @@ import (
 
 // GraphSpec is the POST /v1/graphs request body. Exactly one of Edges or
 // Generator must be set: Edges carries an inline edge list in the fpgen
-// text format ("u v" per line, '#' comments, non-numeric tokens become
-// labels); Generator names one of the internal/gen dataset generators with
-// the same parameters the fpgen CLI exposes.
+// text format ("u v" per line, '#' comments; unless every token is a
+// plain decimal id, all tokens become labels); Generator names one of the
+// internal/gen dataset generators with the same parameters the fpgen CLI
+// exposes.
 type GraphSpec struct {
 	Name    string `json:"name,omitempty"`
 	Edges   string `json:"edges,omitempty"`
@@ -47,57 +47,23 @@ func Generators() []string {
 
 // Upload bounds: node ids allocate O(maxID) adjacency state in the graph
 // builder, so a tiny body like "0 2000000000" would otherwise OOM the
-// daemon despite MaxBodyBytes.
+// daemon despite MaxBodyBytes. The parser checks them before it builds.
 const (
 	maxUploadNodeID = 5_000_000
 	maxUploadEdges  = 2_000_000
 )
 
-// checkEdgeListBounds pre-scans an uploaded edge list, rejecting numeric
-// node ids beyond maxUploadNodeID (when the file is in numeric-id mode,
-// mirroring graph.ReadEdgeList's rules) and more than maxUploadEdges
-// lines. Label-mode files are safe by construction: distinct labels are
-// bounded by the edge count.
-func checkEdgeListBounds(text string) error {
-	edges, maxID, numeric := 0, 0, true
-	for line := range strings.Lines(text) {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		edges++
-		if edges > maxUploadEdges {
-			return fmt.Errorf("edge list exceeds %d edges", maxUploadEdges)
-		}
-		for _, tok := range strings.Fields(line) {
-			n, err := strconv.Atoi(tok)
-			if err != nil || n < 0 {
-				numeric = false
-				continue
-			}
-			maxID = max(maxID, n)
-		}
-	}
-	if numeric && maxID > maxUploadNodeID {
-		return fmt.Errorf("node id %d exceeds the upload limit of %d", maxID, maxUploadNodeID)
-	}
-	return nil
-}
-
 // Build materializes the spec into a graph and its default sources. Every
 // generator parameter is range-checked first: the quadratic generators
 // (dag, layered) are capped at 20K nodes and the linear ones at 2M, so a
-// single request can't wedge or OOM the daemon; edge-list uploads go
-// through checkEdgeListBounds.
+// single request can't wedge or OOM the daemon; edge-list uploads are
+// parsed under the upload bounds.
 func (sp *GraphSpec) Build() (*graph.Digraph, []int, error) {
 	if (sp.Edges != "") == (sp.Generator != "") {
 		return nil, nil, fmt.Errorf("exactly one of \"edges\" and \"generator\" must be set")
 	}
 	if sp.Edges != "" {
-		if err := checkEdgeListBounds(sp.Edges); err != nil {
-			return nil, nil, err
-		}
-		g, err := graph.ReadEdgeList(strings.NewReader(sp.Edges))
+		g, err := graph.ParseEdgeList(sp.Edges, graph.Limits{MaxEdges: maxUploadEdges, MaxNodeID: maxUploadNodeID})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -218,13 +184,13 @@ func (sp *GraphSpec) Build() (*graph.Digraph, []int, error) {
 
 // GraphInfo is the JSON description of a registered graph.
 type GraphInfo struct {
-	ID        string    `json:"id"`
-	Name      string    `json:"name,omitempty"`
-	Nodes     int       `json:"nodes"`
-	Edges     int       `json:"edges"`
-	Sources   []int     `json:"sources"`
-	Sinks     int       `json:"sinks"`
-	Hits      int64     `json:"hits"`
+	ID      string `json:"id"`
+	Name    string `json:"name,omitempty"`
+	Nodes   int    `json:"nodes"`
+	Edges   int    `json:"edges"`
+	Sources []int  `json:"sources"`
+	Sinks   int    `json:"sinks"`
+	Hits    int64  `json:"hits"`
 	// Patches counts committed PATCH batches; a non-zero value marks the
 	// graph as dynamic.
 	Patches   int64     `json:"patches,omitempty"`

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -175,6 +176,62 @@ func TestCreateGraphErrors(t *testing.T) {
 				t.Error("missing error message")
 			}
 		})
+	}
+}
+
+// TestUploadIDBounds pins the numeric-or-label rule of the upload bound:
+// the node id cap applies only to files whose every token is a plain
+// decimal id. "+1" is a label, so the file below is a 2-node label graph.
+func TestUploadIDBounds(t *testing.T) {
+	ts := newTestServer(t, server.Config{})
+	var info server.GraphInfo
+	if code := doJSON(t, "POST", ts.URL+"/v1/graphs",
+		server.GraphSpec{Edges: "+1 7000000\n"}, &info); code != http.StatusCreated || info.Nodes != 2 {
+		t.Errorf("label upload: status %d, %+v; want 201 with 2 nodes", code, info)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	code := doJSON(t, "POST", ts.URL+"/v1/graphs", server.GraphSpec{Edges: "0 5000001\n"}, &e)
+	if want := "graph spec: node id 5000001 exceeds the upload limit of 5000000"; code != http.StatusBadRequest || e.Error != want {
+		t.Errorf("numeric upload: status %d, error %q; want 400 %q", code, e.Error, want)
+	}
+}
+
+// TestUnencodableResultIs500 evaluates a chain of 1100 diamonds, whose
+// 2^1100 source-to-sink paths overflow float64: the result cannot be
+// encoded as JSON, and the answer must be a JSON 500 that carries the
+// request id, never a 200 with an empty body.
+func TestUnencodableResultIs500(t *testing.T) {
+	ts := newTestServer(t, server.Config{})
+	var sb strings.Builder
+	for i := 0; i < 1100; i++ {
+		v := 3 * i
+		fmt.Fprintf(&sb, "%d %d\n%d %d\n%d %d\n%d %d\n", v, v+1, v, v+2, v+1, v+3, v+2, v+3)
+	}
+	var info server.GraphInfo
+	if code := doJSON(t, "POST", ts.URL+"/v1/graphs", server.GraphSpec{Edges: sb.String()}, &info); code != http.StatusCreated {
+		t.Fatalf("upload: status %d", code)
+	}
+	req, err := http.NewRequest("GET", ts.URL+"/v1/graphs/"+info.ID+"/evaluate?filters=3", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-ID", "overflow-1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Error     string `json:"error"`
+		RequestID string `json:"request_id"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("status %d, body is not JSON: %v", resp.StatusCode, err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || body.Error == "" || body.RequestID != "overflow-1" {
+		t.Errorf("status %d, body %+v; want 500 with an error and request id overflow-1", resp.StatusCode, body)
 	}
 }
 
