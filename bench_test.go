@@ -113,7 +113,6 @@ func BenchmarkAblationAcyclic(b *testing.B) { runExperiment(b, "abl-acyclic") }
 // Twitter stand-in). The paper reports G_1 ≪ G_Max ≈ G_L ≪ G_ALL.
 
 type twitterFixture struct {
-	g  *fp.Graph
 	ev fp.Evaluator
 }
 
@@ -127,7 +126,7 @@ func twitter(b *testing.B) *twitterFixture {
 		if err != nil {
 			b.Fatal(err)
 		}
-		twitterFix = &twitterFixture{g: g, ev: fp.NewFloat(m)}
+		twitterFix = &twitterFixture{ev: fp.NewFloat(m)}
 	}
 	return twitterFix
 }
@@ -136,7 +135,7 @@ func BenchmarkAlgoGreedyAll(b *testing.B) {
 	fx := twitter(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(fp.GreedyAll(fx.ev, 10)) == 0 {
+		if len(placeFilters(b, fx.ev, 10, fp.StrategyGreedyAll)) == 0 {
 			b.Fatal("no filters placed")
 		}
 	}
@@ -146,7 +145,7 @@ func BenchmarkAlgoGreedyMax(b *testing.B) {
 	fx := twitter(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(fp.GreedyMax(fx.ev, 10)) == 0 {
+		if len(placeFilters(b, fx.ev, 10, fp.StrategyGreedyMax)) == 0 {
 			b.Fatal("no filters placed")
 		}
 	}
@@ -156,7 +155,7 @@ func BenchmarkAlgoGreedy1(b *testing.B) {
 	fx := twitter(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(fp.Greedy1(fx.g, 10)) == 0 {
+		if len(placeFilters(b, fx.ev, 10, fp.StrategyGreedy1)) == 0 {
 			b.Fatal("no filters placed")
 		}
 	}
@@ -166,42 +165,7 @@ func BenchmarkAlgoGreedyL(b *testing.B) {
 	fx := twitter(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(fp.GreedyL(fx.ev, 10)) == 0 {
-			b.Fatal("no filters placed")
-		}
-	}
-}
-
-// --- Approximate placement engine (k = 20, full Twitter stand-in).
-// BenchmarkApproxPlace vs BenchmarkApproxPlaceExactCELF is the wall-clock
-// half of the BENCH_approx.json comparison; the objective-quality half is
-// the property suite in internal/core.
-
-func BenchmarkApproxPlace(b *testing.B) {
-	fx := twitter(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := fp.Place(ctx, fx.ev, 20, fp.PlaceOptions{Strategy: fp.StrategyApproxCELF})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Filters) == 0 || res.PhiCI == nil {
-			b.Fatalf("degenerate approx placement: %d filters, CI %v", len(res.Filters), res.PhiCI)
-		}
-	}
-}
-
-func BenchmarkApproxPlaceExactCELF(b *testing.B) {
-	fx := twitter(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := fp.Place(ctx, fx.ev, 20, fp.PlaceOptions{Strategy: fp.StrategyCELF})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Filters) == 0 {
+		if len(placeFilters(b, fx.ev, 10, fp.StrategyGreedyL)) == 0 {
 			b.Fatal("no filters placed")
 		}
 	}
@@ -221,7 +185,7 @@ func layeredModel(b *testing.B, x float64) *fp.Model {
 
 func BenchmarkPhiFloat(b *testing.B) {
 	ev := fp.NewFloat(layeredModel(b, 1))
-	filters := fp.MaskOf(ev.Model().N(), fp.GreedyAll(ev, 10))
+	filters := fp.MaskOf(ev.Model().N(), placeFilters(b, ev, 10, fp.StrategyGreedyAll))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = ev.Phi(filters)
@@ -230,7 +194,7 @@ func BenchmarkPhiFloat(b *testing.B) {
 
 func BenchmarkPhiBig(b *testing.B) {
 	ev := fp.NewBig(layeredModel(b, 1))
-	filters := fp.MaskOf(ev.Model().N(), fp.GreedyAll(ev, 10))
+	filters := fp.MaskOf(ev.Model().N(), placeFilters(b, ev, 10, fp.StrategyGreedyAll))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = ev.Phi(filters)
@@ -410,7 +374,7 @@ func BenchmarkMaintainVsRecompute(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(fp.GreedyAll(fp.NewFloat(m), dynBenchK)) == 0 {
+				if len(placeFilters(b, fp.NewFloat(m), dynBenchK, fp.StrategyGreedyAll)) == 0 {
 					b.Fatal("no filters placed")
 				}
 			}

@@ -1,6 +1,7 @@
 package fp_test
 
 import (
+	"context"
 	"fmt"
 
 	fp "repro"
@@ -13,21 +14,23 @@ func Example() {
 	model, _ := fp.NewModel(g, []int{source})
 	ev := fp.NewFloat(model)
 
-	filters := fp.GreedyAll(ev, 1)
+	res, _ := fp.Place(context.Background(), ev, 1, fp.PlaceOptions{})
+	filters := res.Filters
 	mask := fp.MaskOf(g.N(), filters)
 	fmt.Printf("filter at %s, Φ %0.f → %.0f, FR %.2f\n",
 		g.Label(filters[0]), ev.Phi(nil), ev.Phi(mask), fp.FR(ev, mask))
 	// Output: filter at z2, Φ 10 → 9, FR 1.00
 }
 
-// ExampleGreedyAll reproduces the paper's Figure 3: greedy picks {A, C}
+// ExamplePlace reproduces the paper's Figure 3: greedy picks {A, C}
 // while the optimum is {B, C}.
-func ExampleGreedyAll() {
+func ExamplePlace() {
 	g, sources := fp.Figure3()
 	model, _ := fp.NewModel(g, sources)
 	ev := fp.NewBig(model)
 
-	greedy := fp.GreedyAll(ev, 2)
+	res, _ := fp.Place(context.Background(), ev, 2, fp.PlaceOptions{Strategy: fp.StrategyGreedyAll})
+	greedy := res.Filters
 	optimum, optF := fp.Exhaustive(ev, 2)
 	fmt.Printf("greedy {%s,%s} F=%.0f; optimum {%s,%s} F=%.0f\n",
 		g.Label(greedy[0]), g.Label(greedy[1]), ev.F(fp.MaskOf(g.N(), greedy)),

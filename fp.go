@@ -26,10 +26,8 @@
 //     evaluators (results are bit-for-bit identical to serial). All
 //     parallel work executes on a process-wide work-stealing scheduler
 //     (SetSchedulerWorkers), and PlaceBatch gang-submits placements over
-//     many graphs onto it at once. The per-algorithm names (GreedyAll,
-//     GreedyAllCELF, …) remain as thin deprecated wrappers; TreeDP (exact
-//     on communication trees) and Exhaustive (tiny instances) stay
-//     separate.
+//     many graphs onto it at once. TreeDP (exact on communication trees)
+//     and Exhaustive (tiny instances) stay separate.
 //   - Cyclic inputs: Acyclic and AcyclicBestRoot extract a maximal
 //     connected acyclic subgraph first (paper §4.3).
 //   - Dataset generators used by the paper's evaluation, from the layered
@@ -39,7 +37,7 @@
 //     atomic batched edge mutations and incremental topological-order
 //     maintenance (cycle-creating edges are rejected with ErrWouldCycle),
 //     and NewMaintainer keeps a placement fresh across mutation batches —
-//     incremental dirty-cone repair, falling back to a full GreedyAll when
+//     incremental dirty-cone repair, falling back to a full greedy-all when
 //     drift grows. TwitterChurn generates benchmarkable mutation streams.
 //   - The full experiment harness: RunExperiment regenerates any figure of
 //     the paper's evaluation section.
@@ -183,34 +181,21 @@ func AllFilters(m *Model) []bool { return flow.AllFilters(m) }
 type PlaceStrategy = core.Strategy
 
 // The strategies Place accepts. StrategyGreedyAll is the paper's
-// (1−1/e)-approximation; StrategyCELF and StrategyNaive are its lazy and
-// paper-cost-profile variants (same filter sets, counted oracle calls);
-// the rest are the paper's heuristics and baselines.
+// (1−1/e)-approximation and the one fast exact path; StrategyCELF and
+// StrategyNaive return the same filter sets at the paper's per-candidate
+// cost profile and exist only as the Figure 11 baselines; the rest are
+// the paper's heuristics and baselines.
 const (
-	StrategyGreedyAll   = core.StrategyGreedyAll
-	StrategyCELF        = core.StrategyCELF
-	StrategyNaive       = core.StrategyNaive
-	StrategyGreedyMax   = core.StrategyGreedyMax
-	StrategyGreedy1     = core.StrategyGreedy1
-	StrategyGreedyL     = core.StrategyGreedyL
-	StrategyGreedyLFast = core.StrategyGreedyLFast
-	StrategyRandK       = core.StrategyRandK
-	StrategyRandI       = core.StrategyRandI
-	StrategyRandW       = core.StrategyRandW
-	StrategyProp1       = core.StrategyProp1
-	// StrategyApproxCELF is the approximate engine: CELF's lazy greedy
-	// driven by sampled gain estimates, with exact re-checks only at heap
-	// tops — exact oracle work scales with k, not V·k. Quality (or
-	// SampleBudget/SampleSeed) in PlaceOptions tunes it; the Result
-	// carries a sampled confidence interval on Φ(A).
-	StrategyApproxCELF = core.StrategyApproxCELF
-	// StrategyMLCELF is multilevel placement: coarsen the model into a
-	// quotient graph (PlaceOptions.Coarsen), run CELF — or, when Quality/
-	// SampleBudget ask for it, approx-celf — on the quotient, project the
-	// picks back, and locally refine within each supernode's fiber. With
-	// lossless coarsening the result is bit-for-bit CELF's; the Placement
-	// carries the contraction's CoarsenStats.
-	StrategyMLCELF = core.StrategyMLCELF
+	StrategyGreedyAll = core.StrategyGreedyAll
+	StrategyCELF      = core.StrategyCELF
+	StrategyNaive     = core.StrategyNaive
+	StrategyGreedyMax = core.StrategyGreedyMax
+	StrategyGreedy1   = core.StrategyGreedy1
+	StrategyGreedyL   = core.StrategyGreedyL
+	StrategyRandK     = core.StrategyRandK
+	StrategyRandI     = core.StrategyRandI
+	StrategyRandW     = core.StrategyRandW
+	StrategyProp1     = core.StrategyProp1
 )
 
 // PlaceStrategies lists every strategy Place accepts.
@@ -327,60 +312,8 @@ type CloneableEvaluator = flow.Cloner
 // parallelize internally by level (NewFloat's engine qualifies).
 type ParallelEvaluator = flow.ParallelEvaluator
 
-// GreedyAll is the paper's Greedy_All (1−1/e)-approximation: k rounds of
-// exact marginal-gain maximization, O(k·|E|) total.
-//
-// Deprecated: use Place with StrategyGreedyAll.
-func GreedyAll(ev Evaluator, k int) []int { return core.GreedyAll(ev, k) }
-
-// GreedyAllCtx is GreedyAll with a cancellation check between rounds; it
-// returns ctx.Err() when canceled mid-placement.
-//
-// Deprecated: use Place with StrategyGreedyAll.
-func GreedyAllCtx(ctx context.Context, ev Evaluator, k int) ([]int, error) {
-	return core.GreedyAllCtx(ctx, ev, k)
-}
-
 // OracleStats counts objective evaluations spent by a greedy variant.
 type OracleStats = core.OracleStats
-
-// GreedyAllCELF is GreedyAll with CELF lazy evaluation; identical output,
-// counted gain evaluations.
-//
-// Deprecated: use Place with StrategyCELF.
-func GreedyAllCELF(ev Evaluator, k int) ([]int, OracleStats) { return core.GreedyAllCELF(ev, k) }
-
-// GreedyAllCELFCtx is GreedyAllCELF with a cancellation check on every
-// lazy-evaluation step.
-//
-// Deprecated: use Place with StrategyCELF.
-func GreedyAllCELFCtx(ctx context.Context, ev Evaluator, k int) ([]int, OracleStats, error) {
-	return core.GreedyAllCELFCtx(ctx, ev, k)
-}
-
-// GreedyMax computes all impacts once and keeps the top k (paper's
-// Greedy_Max).
-//
-// Deprecated: use Place with StrategyGreedyMax.
-func GreedyMax(ev Evaluator, k int) []int { return core.GreedyMax(ev, k) }
-
-// Greedy1 ranks nodes by din·dout and keeps the top k (paper's Greedy_1).
-//
-// Deprecated: use Place with StrategyGreedy1.
-func Greedy1(g *Graph, k int) []int { return core.Greedy1(g, k) }
-
-// GreedyL iteratively places filters at the maximizer of Prefix(v)·dout(v)
-// (paper's Greedy_L).
-//
-// Deprecated: use Place with StrategyGreedyL.
-func GreedyL(ev Evaluator, k int) []int { return core.GreedyL(ev, k) }
-
-// GreedyLFast is GreedyL with incremental prefix maintenance (the paper's
-// "clever bookkeeping" running-time remark); identical output, updates
-// proportional to the affected cone instead of |E| per round.
-//
-// Deprecated: use Place with StrategyGreedyLFast.
-func GreedyLFast(ev Evaluator, k int) []int { return core.GreedyLFast(ev, k) }
 
 // RandK, RandI and RandW are the paper's randomized baselines.
 func RandK(m *Model, k int, rng *rand.Rand) []int { return core.RandK(m, k, rng) }
@@ -587,49 +520,8 @@ func MonteCarloP(m *Model, filters []bool, runs int, seed int64, procs int) (MCR
 	return flow.MonteCarloP(m, filters, runs, seed, procs)
 }
 
-// SamplingEngine estimates Φ and per-node impacts by sampled topological
-// passes — O(V + EdgeRate·E) per pass instead of O(V + E) — with a
-// confidence interval on Φ. It implements Evaluator, and its estimates
-// depend only on the seed, never on the worker count.
-type SamplingEngine = flow.SamplingEngine
-
-// SampleOptions configures NewSampling; the zero value gives the engine
-// defaults.
-type SampleOptions = flow.SampleOptions
-
-// NewSampling builds a sampled estimator over the model.
-func NewSampling(m *Model, opts SampleOptions) *SamplingEngine { return flow.NewSampling(m, opts) }
-
-// CoarsenOptions configures Coarsen (and PlaceOptions.Coarsen for
-// StrategyMLCELF): lossless-only contraction, the bounded target ratio,
-// and the round cap.
-type CoarsenOptions = flow.CoarsenOptions
-
-// CoarsenStats reports what a contraction did — node/edge counts before
-// and after, per-rule fire counts, and whether every rule that fired was
-// Φ-exact (LosslessOnly).
-type CoarsenStats = flow.CoarsenStats
-
-// CoarsenMap is the reversible record of a contraction: which original
-// nodes each supernode stands for (Fiber), where each original node went
-// (Quotient), and how quotient-level filter picks project back
-// (ProjectFilters).
-type CoarsenMap = flow.CoarsenMap
-
-// Coarsen contracts an unweighted model into a quotient model by chain
-// folding, sink absorption and (unless opts.Lossless) modular-twin
-// merging. Per-supernode multiplicity weights make the quotient's Φ
-// equal (lossless rules) or a tight bound (twin merging) of the
-// original's, and the contraction is deterministic for a given model and
-// options. StrategyMLCELF runs this under the hood; call it directly to
-// inspect or reuse a quotient.
-func Coarsen(m *Model, opts CoarsenOptions) (*Model, *CoarsenMap, CoarsenStats, error) {
-	return flow.Coarsen(m, opts)
-}
-
 // ChainDAG generates a chain-heavy DAG: a small preferential-attachment
-// core with long single-in relay chains hanging off it — the regime
-// where lossless coarsening contracts hardest.
+// core with long single-in relay chains hanging off it.
 func ChainDAG(n, chainLen int, seed int64) (*Graph, int) { return gen.ChainDAG(n, chainLen, seed) }
 
 // DeepDAG generates a deep layered DAG with heavy-tailed fan-in: mostly

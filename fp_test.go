@@ -12,6 +12,16 @@ import (
 )
 
 // TestQuickstart mirrors the package-documentation session end to end.
+// placeFilters runs fp.Place with strategy s and returns its filters.
+func placeFilters(tb testing.TB, ev fp.Evaluator, k int, s fp.PlaceStrategy) []int {
+	tb.Helper()
+	res, err := fp.Place(context.Background(), ev, k, fp.PlaceOptions{Strategy: s})
+	if err != nil {
+		tb.Fatalf("Place(%s): %v", s, err)
+	}
+	return res.Filters
+}
+
 func TestQuickstart(t *testing.T) {
 	g := fp.MustFromEdges(4, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
 	model, err := fp.NewModel(g, nil)
@@ -22,7 +32,7 @@ func TestQuickstart(t *testing.T) {
 	if phi := ev.Phi(nil); phi != 4 { // 1 + 1 + 2 copies
 		t.Fatalf("Φ(∅) = %v, want 4", phi)
 	}
-	filters := fp.GreedyAll(ev, 1)
+	filters := placeFilters(t, ev, 1, fp.StrategyGreedyAll)
 	if len(filters) != 1 || filters[0] != 3 {
 		// Node 3 is the only node with in-degree > 1... but it is a sink,
 		// so no filter helps on the diamond.
@@ -55,7 +65,7 @@ func TestFacadeEndToEndPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := fp.NewBig(model)
-	filters := fp.GreedyAll(ev, 4)
+	filters := placeFilters(t, ev, 4, fp.StrategyGreedyAll)
 	if fr := fp.FR(ev, fp.MaskOf(g2.N(), filters)); fr != 1 {
 		t.Errorf("FR after 4 greedy filters on QuoteLike = %v, want 1", fr)
 	}
@@ -97,8 +107,12 @@ func TestFacadeAlgorithmsConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := fp.NewFloat(model)
-	ref := fp.GreedyAll(ev, 5)
-	celf, st := fp.GreedyAllCELF(ev, 5)
+	ref := placeFilters(t, ev, 5, fp.StrategyGreedyAll)
+	celfRes, err := fp.Place(context.Background(), ev, 5, fp.PlaceOptions{Strategy: fp.StrategyCELF})
+	if err != nil {
+		t.Fatal(err)
+	}
+	celf, st := celfRes.Filters, celfRes.Stats
 	if len(ref) != len(celf) {
 		t.Fatalf("CELF differs: %v vs %v", celf, ref)
 	}
@@ -111,7 +125,9 @@ func TestFacadeAlgorithmsConsistent(t *testing.T) {
 		t.Error("CELF reported no work")
 	}
 	for _, nodes := range [][]int{
-		fp.GreedyMax(ev, 5), fp.Greedy1(g, 5), fp.GreedyL(ev, 5),
+		placeFilters(t, ev, 5, fp.StrategyGreedyMax),
+		placeFilters(t, ev, 5, fp.StrategyGreedy1),
+		placeFilters(t, ev, 5, fp.StrategyGreedyL),
 		fp.RandK(model, 5, rand.New(rand.NewSource(1))),
 		fp.RandI(model, 5, rand.New(rand.NewSource(1))),
 		fp.RandW(model, 5, rand.New(rand.NewSource(1))),
@@ -135,7 +151,7 @@ func TestFacadeTreeDP(t *testing.T) {
 		t.Errorf("TreeDP claims F=%v, evaluator says %v", f, got)
 	}
 	// On a tree the exact DP is at least as good as greedy.
-	greedy := fp.GreedyAll(ev, 3)
+	greedy := placeFilters(t, ev, 3, fp.StrategyGreedyAll)
 	if gf := ev.F(fp.MaskOf(g.N(), greedy)); f < gf {
 		t.Errorf("DP %v worse than greedy %v", f, gf)
 	}
@@ -216,11 +232,6 @@ func TestFacadeExtensions(t *testing.T) {
 	leaky := fp.GreedyAllPartial(pe, 4, 0.25)
 	if len(leaky) != 4 {
 		t.Errorf("GreedyAllPartial placed %d filters", len(leaky))
-	}
-
-	// GreedyL fast variant agrees with plain through the facade.
-	if a, b := fp.GreedyL(ev, 5), fp.GreedyLFast(ev, 5); len(a) != len(b) {
-		t.Errorf("GreedyL variants disagree: %v vs %v", a, b)
 	}
 
 	// Multi-item.
@@ -342,7 +353,7 @@ func TestPaperQuoteWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := fp.NewFloat(model)
-	filters := fp.GreedyAll(ev, 10)
+	filters := placeFilters(t, ev, 10, fp.StrategyGreedyAll)
 	fr := fp.FR(ev, fp.MaskOf(dag.N(), filters))
 	if fr < 0.99 {
 		t.Errorf("FR after 10 filters on repaired quote graph = %v, want ≈ 1", fr)
@@ -369,7 +380,7 @@ func TestFacadeExhaustiveMatchesPaperFigure3(t *testing.T) {
 }
 
 // TestPlaceFacade exercises the unified Place entry point through the
-// facade: parallel and serial runs agree with the deprecated wrappers.
+// facade: parallel and serial runs agree with the serial greedy-all.
 func TestPlaceFacade(t *testing.T) {
 	g, src := fp.Layered(6, 40, 1, 4, 1)
 	model, err := fp.NewModel(g, []int{src})
@@ -377,7 +388,7 @@ func TestPlaceFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := fp.NewFloat(model)
-	want := fp.GreedyAll(ev, 6)
+	want := placeFilters(t, ev, 6, fp.StrategyGreedyAll)
 	for _, procs := range []int{0, 1, 4} {
 		res, err := fp.Place(context.Background(), ev, 6, fp.PlaceOptions{Parallelism: procs})
 		if err != nil {
@@ -397,7 +408,7 @@ func TestPlaceFacade(t *testing.T) {
 	if celf.Stats.GainEvaluations == 0 {
 		t.Error("CELF reported no oracle work")
 	}
-	if len(fp.PlaceStrategies()) < 11 {
+	if len(fp.PlaceStrategies()) != 10 {
 		t.Errorf("PlaceStrategies lists %d strategies", len(fp.PlaceStrategies()))
 	}
 }

@@ -152,7 +152,7 @@ func RunFpplace(args []string, stdin io.Reader, stdout, stderr io.Writer) error 
 	var (
 		in        = fs.String("in", "", "edge-list input file ('-' for stdin); additional files may be passed as positional arguments for batched placement")
 		k         = fs.Int("k", 10, "filter budget")
-		algo      = fs.String("algo", "gall", "gall | gmax | g1 | gl | glfast | celf | approx | ml-celf | naive | randk | randi | randw | prop1 | tree")
+		algo      = fs.String("algo", "gall", "gall | gmax | g1 | gl | celf | naive | randk | randi | randw | prop1 | tree (celf, naive: Fig. 11 cost-profile baselines)")
 		engine    = fs.String("engine", "float", "float | big (exact)")
 		source    = fs.Int("source", -1, "source node id (-1: all in-degree-0 nodes, or best root with -acyclic)")
 		acyclicF  = fs.Bool("acyclic", false, "extract a maximal acyclic subgraph first (paper §4.3)")
@@ -162,9 +162,6 @@ func RunFpplace(args []string, stdin io.Reader, stdout, stderr io.Writer) error 
 		showStats = fs.Bool("stats", false, "print graph degree statistics")
 		impacts   = fs.Bool("impacts", false, "print the per-node impact table instead of placing filters")
 		weighted  = fs.Bool("weighted", false, "input is 'u v p' with relay probabilities (probabilistic model; float engine only)")
-		quality   = fs.Float64("quality", 0, "approx algorithm: target relative estimate error in (0, 0.5] (0 = engine default)")
-		coarsenR  = fs.Float64("coarsen-ratio", 0, "ml-celf: bounded-mode target node ratio in [0, 1] (0 = contract to fixpoint)")
-		coarsenL  = fs.Bool("coarsen-lossless", false, "ml-celf: restrict coarsening to the bit-exactness-preserving rules")
 		dotOut    = fs.String("dot", "", "also write a Graphviz DOT file with the placement highlighted")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -272,16 +269,11 @@ func RunFpplace(args []string, stdin io.Reader, stdout, stderr io.Writer) error 
 	}
 
 	var filters []int
-	var phiCI *flow.MCResult
-	var coarsenStats *flow.CoarsenStats
 	if strat, ok := cliStrategies[*algo]; ok {
 		opts := core.Options{
 			Strategy:    strat,
 			Parallelism: *procs,
 			Seed:        *seed,
-			Quality:     *quality,
-			SampleSeed:  *seed,
-			Coarsen:     flow.CoarsenOptions{TargetRatio: *coarsenR, Lossless: *coarsenL},
 		}
 		// The same Validate the HTTP layer runs, so a bad knob reads
 		// identically from either surface.
@@ -293,8 +285,6 @@ func RunFpplace(args []string, stdin io.Reader, stdout, stderr io.Writer) error 
 			return fmt.Errorf("fpplace: %w", err)
 		}
 		filters = res.Filters
-		phiCI = res.PhiCI
-		coarsenStats = res.CoarsenStats
 	} else if *algo == "tree" {
 		if len(m.Sources()) != 1 {
 			return fmt.Errorf("fpplace: tree DP needs exactly one source, have %d", len(m.Sources()))
@@ -340,19 +330,6 @@ func RunFpplace(args []string, stdin io.Reader, stdout, stderr io.Writer) error 
 	fmt.Fprintf(stdout, "Φ(A,V):     %.6g\n", ev.Phi(mask))
 	fmt.Fprintf(stdout, "F(A):       %.6g\n", ev.F(mask))
 	fmt.Fprintf(stdout, "FR(A):      %.4f\n", flow.FR(ev, mask))
-	if phiCI != nil {
-		fmt.Fprintf(stdout, "Φ̂(A) CI95:  %.6g ± %.3g (%d sampled passes)\n", phiCI.Mean, phiCI.CI95(), phiCI.Runs)
-	}
-	if coarsenStats != nil {
-		mode := "bounded"
-		if coarsenStats.LosslessOnly {
-			mode = "lossless"
-		}
-		fmt.Fprintf(stdout, "coarsen:    %d → %d nodes, %d → %d edges (%d rounds, %s)\n",
-			coarsenStats.NodesBefore, coarsenStats.NodesAfter,
-			coarsenStats.EdgesBefore, coarsenStats.EdgesAfter,
-			coarsenStats.Rounds, mode)
-	}
 	return nil
 }
 
@@ -360,19 +337,16 @@ func RunFpplace(args []string, stdin io.Reader, stdout, stderr io.Writer) error 
 // "tree" stays separate (the exact DP has a different signature and
 // tree-only semantics).
 var cliStrategies = map[string]core.Strategy{
-	"gall":    core.StrategyGreedyAll,
-	"celf":    core.StrategyCELF,
-	"approx":  core.StrategyApproxCELF,
-	"ml-celf": core.StrategyMLCELF,
-	"naive":   core.StrategyNaive,
-	"gmax":    core.StrategyGreedyMax,
-	"g1":      core.StrategyGreedy1,
-	"gl":      core.StrategyGreedyL,
-	"glfast":  core.StrategyGreedyLFast,
-	"randk":   core.StrategyRandK,
-	"randi":   core.StrategyRandI,
-	"randw":   core.StrategyRandW,
-	"prop1":   core.StrategyProp1,
+	"gall":  core.StrategyGreedyAll,
+	"celf":  core.StrategyCELF,
+	"naive": core.StrategyNaive,
+	"gmax":  core.StrategyGreedyMax,
+	"g1":    core.StrategyGreedy1,
+	"gl":    core.StrategyGreedyL,
+	"randk": core.StrategyRandK,
+	"randi": core.StrategyRandI,
+	"randw": core.StrategyRandW,
+	"prop1": core.StrategyProp1,
 }
 
 // runFpplaceBatch places the same spec on every input file as one gang

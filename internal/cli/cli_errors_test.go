@@ -89,6 +89,26 @@ func TestFpplaceSourceWithInEdges(t *testing.T) {
 	}
 }
 
+// TestFpplaceRemovedSurfaces: the deleted approximate and multilevel
+// placement paths, and their flags, fail instead of silently running
+// something else.
+func TestFpplaceRemovedSurfaces(t *testing.T) {
+	for _, extra := range [][]string{
+		{"-algo", "approx"},
+		{"-algo", "ml-celf"},
+		{"-algo", "glfast"},
+		{"-quality", "0.1"},
+		{"-coarsen-ratio", "0.5"},
+		{"-coarsen-lossless"},
+	} {
+		var out, errw bytes.Buffer
+		args := append([]string{"-in", "-", "-k", "1"}, extra...)
+		if err := RunFpplace(args, strings.NewReader("0 1\n0 2\n1 3\n2 3\n"), &out, &errw); err == nil {
+			t.Errorf("fpplace %v accepted", extra)
+		}
+	}
+}
+
 func TestFpexpRunErrorMidStream(t *testing.T) {
 	// A valid id followed by an invalid one: the error must surface after
 	// the first experiment already printed.

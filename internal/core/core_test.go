@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -12,6 +13,16 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
+
+// placeFilters runs Place serially with strategy s and returns its filters.
+func placeFilters(t testing.TB, ev flow.Evaluator, k int, s Strategy) []int {
+	t.Helper()
+	res, err := Place(context.Background(), ev, k, Options{Strategy: s})
+	if err != nil {
+		t.Fatalf("Place(%s): %v", s, err)
+	}
+	return res.Filters
+}
 
 func evalFor(t testing.TB, g *graph.Digraph, sources []int) flow.Evaluator {
 	t.Helper()
@@ -25,7 +36,7 @@ func evalFor(t testing.TB, g *graph.Digraph, sources []int) flow.Evaluator {
 func TestGreedyAllFigure1(t *testing.T) {
 	g, s := gen.Figure1()
 	ev := evalFor(t, g, []int{s})
-	a := GreedyAll(ev, 1)
+	a := placeFilters(t, ev, 1, StrategyGreedyAll)
 	if !reflect.DeepEqual(a, []int{gen.Fig1Z2}) {
 		t.Fatalf("GreedyAll = %v, want [z2=%d]", a, gen.Fig1Z2)
 	}
@@ -33,7 +44,7 @@ func TestGreedyAllFigure1(t *testing.T) {
 		t.Errorf("FR = %v, want 1", fr)
 	}
 	// Asking for more filters stops early: nothing else helps.
-	if a := GreedyAll(ev, 5); len(a) != 1 {
+	if a := placeFilters(t, ev, 5, StrategyGreedyAll); len(a) != 1 {
 		t.Errorf("GreedyAll(k=5) = %v, want exactly 1 useful filter", a)
 	}
 }
@@ -45,7 +56,7 @@ func TestFigure2PaperNumbers(t *testing.T) {
 		t.Fatalf("Φ(∅,V) = %v, want 14", phi)
 	}
 	// Greedy_1 prefers B: m(B) = 1·4 > m(A) = 3·1.
-	g1 := Greedy1(g, 1)
+	g1 := placeFilters(t, ev, 1, StrategyGreedy1)
 	if !reflect.DeepEqual(g1, []int{gen.Fig2B}) {
 		t.Errorf("Greedy1 = %v, want [B=%d]", g1, gen.Fig2B)
 	}
@@ -53,7 +64,7 @@ func TestFigure2PaperNumbers(t *testing.T) {
 		t.Errorf("Φ({B}) = %v, want 14 (filter at B changes nothing)", phi)
 	}
 	// The optimum (found by Greedy_All and by exhaustive search) is A.
-	ga := GreedyAll(ev, 1)
+	ga := placeFilters(t, ev, 1, StrategyGreedyAll)
 	if !reflect.DeepEqual(ga, []int{gen.Fig2A}) {
 		t.Errorf("GreedyAll = %v, want [A=%d]", ga, gen.Fig2A)
 	}
@@ -85,7 +96,7 @@ func TestFigure3PaperNumbers(t *testing.T) {
 	}
 	// Greedy_All chooses {A, C} reaching Φ = 15; the optimum {B, C}
 	// reaches Φ = 14.
-	ga := GreedyAll(ev, 2)
+	ga := placeFilters(t, ev, 2, StrategyGreedyAll)
 	if !reflect.DeepEqual(ga, []int{gen.Fig3A, gen.Fig3C}) {
 		t.Errorf("GreedyAll = %v, want [A C]", ga)
 	}
@@ -108,9 +119,11 @@ func TestGreedyVariantsAgree(t *testing.T) {
 		g, src := gen.RandomDAG(25, 0.2, seed)
 		ev := evalFor(t, g, []int{src})
 		k := 4
-		a := GreedyAll(ev, k)
-		b, stNaive := GreedyAllNaive(ev, k)
-		c, stCELF := GreedyAllCELF(ev, k)
+		a := placeFilters(t, ev, k, StrategyGreedyAll)
+		naive, _ := Place(context.Background(), ev, k, Options{Strategy: StrategyNaive})
+		celf, _ := Place(context.Background(), ev, k, Options{Strategy: StrategyCELF})
+		b, stNaive := naive.Filters, naive.Stats
+		c, stCELF := celf.Filters, celf.Stats
 		if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(a, c) {
 			t.Logf("seed %d: all=%v naive=%v celf=%v", seed, a, b, c)
 			return false
@@ -132,7 +145,7 @@ func TestGreedyAllK1Optimal(t *testing.T) {
 	f := func(seed int64) bool {
 		g, src := gen.RandomDAG(18, 0.25, seed)
 		ev := evalFor(t, g, []int{src})
-		a := GreedyAll(ev, 1)
+		a := placeFilters(t, ev, 1, StrategyGreedyAll)
 		_, optF := Exhaustive(ev, 1)
 		var gotF float64
 		if len(a) > 0 {
@@ -156,7 +169,7 @@ func TestGreedyAllApproximationBound(t *testing.T) {
 		g, src := gen.RandomDAG(15, 0.3, seed)
 		ev := evalFor(t, g, []int{src})
 		for _, k := range []int{2, 3} {
-			a := GreedyAll(ev, k)
+			a := placeFilters(t, ev, k, StrategyGreedyAll)
 			gotF := ev.F(flow.MaskOf(g.N(), a))
 			_, optF := Exhaustive(ev, k)
 			if optF == 0 {
@@ -206,7 +219,7 @@ func TestGreedyMaxVsGreedyAllOnFigure2(t *testing.T) {
 	// correctly prefers A on Figure 2.
 	g, s := gen.Figure2()
 	ev := evalFor(t, g, []int{s})
-	gm := GreedyMax(ev, 1)
+	gm := placeFilters(t, ev, 1, StrategyGreedyMax)
 	if !reflect.DeepEqual(gm, []int{gen.Fig2A}) {
 		t.Errorf("GreedyMax = %v, want [A=%d]", gm, gen.Fig2A)
 	}
@@ -218,7 +231,7 @@ func TestGreedyLPrefersDownstream(t *testing.T) {
 	// because of its fan-out, reproducing the heuristic's known bias.
 	g, s := gen.Figure2()
 	m := flow.MustModel(g, []int{s})
-	gl := GreedyL(flow.NewBig(m), 1)
+	gl := placeFilters(t, flow.NewBig(m), 1, StrategyGreedyL)
 	if !reflect.DeepEqual(gl, []int{gen.Fig2B}) {
 		t.Errorf("GreedyL = %v, want [B=%d]", gl, gen.Fig2B)
 	}
@@ -231,10 +244,10 @@ func TestHeuristicsWellFormed(t *testing.T) {
 		ev := flow.NewFloat(m)
 		k := 5
 		for name, a := range map[string][]int{
-			"GreedyAll": GreedyAll(ev, k),
-			"GreedyMax": GreedyMax(ev, k),
-			"Greedy1":   Greedy1(g, k),
-			"GreedyL":   GreedyL(ev, k),
+			"GreedyAll": placeFilters(t, ev, k, StrategyGreedyAll),
+			"GreedyMax": placeFilters(t, ev, k, StrategyGreedyMax),
+			"Greedy1":   placeFilters(t, ev, k, StrategyGreedy1),
+			"GreedyL":   placeFilters(t, ev, k, StrategyGreedyL),
 		} {
 			if len(a) > k {
 				t.Logf("%s returned %d > k nodes", name, len(a))

@@ -4,22 +4,27 @@ import (
 	"repro/internal/flow"
 )
 
-// GreedyLFast is Greedy_L with the paper's running-time remark implemented
-// ("the only nodes whose value of I′ changes are those that are after v in
-// the topological order... clever bookkeeping allows us to make these
-// updates in, practically, constant time"): instead of recomputing every
-// prefix each round, it maintains rec/emit incrementally and, after placing
-// a filter at v, pushes the emission delta only through v's descendants.
-// Output is identical to GreedyL; edge work per round is proportional to
-// the affected cone rather than |E|. Weighted models fall back to the
-// plain implementation (their emissions scale by per-edge probabilities,
-// which the incremental pass does not track).
+// greedyL is the paper's Greedy_L heuristic: in each of k rounds place a
+// filter at the maximizer of the simplified impact I′(v) = Prefix(v)·dout(v)
+// under the current filter set — the number of copies v pushes to its
+// immediate children.
 //
-// Deprecated: use Place with StrategyGreedyLFast.
-func GreedyLFast(ev flow.Evaluator, k int) []int {
+// It implements the paper's running-time remark ("the only nodes whose
+// value of I′ changes are those that are after v in the topological
+// order... clever bookkeeping allows us to make these updates in,
+// practically, constant time"): instead of recomputing every prefix each
+// round, it maintains rec/emit incrementally and, after placing a filter
+// at v, pushes the emission delta only through v's descendants, so edge
+// work per round is proportional to the affected cone rather than |E|.
+// Weighted models (whose emissions scale by per-edge probabilities) and
+// evaluators other than the single-item float and big engines fall back to
+// greedyLRecompute, which recomputes every prefix each round.
+func greedyL(ev flow.Evaluator, k int) []int {
 	m := ev.Model()
-	if m.Weighted() {
-		return GreedyL(ev, k)
+	_, isFloat := ev.(*flow.FloatEngine)
+	_, isBig := ev.(*flow.BigEngine)
+	if m.Weighted() || !(isFloat || isBig) {
+		return greedyLRecompute(ev, k)
 	}
 	g := m.Graph()
 	n := m.N()
@@ -109,6 +114,36 @@ func GreedyLFast(ev flow.Evaluator, k int) []int {
 				}
 			}
 		}
+	}
+	return chosen
+}
+
+// greedyLRecompute is Greedy_L with every prefix recomputed by a full
+// forward pass each round: O(k·|E|). It is greedyL's fallback for the
+// models and evaluators the incremental pass does not cover.
+func greedyLRecompute(ev flow.Evaluator, k int) []int {
+	m := ev.Model()
+	g := m.Graph()
+	n := m.N()
+	filters := make([]bool, n)
+	chosen := make([]int, 0, k)
+	for len(chosen) < k {
+		prefix := ev.Received(filters)
+		best, bestScore := -1, 0.0
+		for v := 0; v < n; v++ {
+			if filters[v] || m.IsSource(v) {
+				continue
+			}
+			score := prefix[v] * float64(g.OutDegree(v))
+			if score > bestScore {
+				best, bestScore = v, score
+			}
+		}
+		if best < 0 {
+			break
+		}
+		filters[best] = true
+		chosen = append(chosen, best)
 	}
 	return chosen
 }

@@ -21,36 +21,22 @@ const (
 	StrategyGreedyAll Strategy = "greedy-all"
 	// StrategyCELF is Greedy_All at the paper's per-candidate cost profile
 	// with CELF lazy evaluation; stale heap entries re-evaluate in
-	// round-stamped batches across cloned evaluators.
+	// round-stamped batches across cloned evaluators. It returns
+	// StrategyGreedyAll's filters and exists only as a baseline for the
+	// paper's Figure 11 cost profile; StrategyGreedyAll is the fast path.
 	StrategyCELF Strategy = "celf"
 	// StrategyNaive is Greedy_All at the paper's cost profile with no
 	// laziness: every candidate re-evaluates every round. Candidates shard
-	// across cloned evaluators.
+	// across cloned evaluators. Like StrategyCELF it returns
+	// StrategyGreedyAll's filters and exists only as a Figure 11 baseline.
 	StrategyNaive Strategy = "naive"
-	// StrategyApproxCELF is CELF on SAMPLED gain estimates: the lazy heap
-	// is seeded by a flow.SamplingEngine's edge-sampled estimates and only
-	// the heap-top handful is re-checked exactly before each commit, so
-	// exact oracle work scales with k instead of V·k. Options.Quality sets
-	// the target relative error; Result.PhiCI reports the sampled
-	// confidence interval on Φ(A).
-	StrategyApproxCELF Strategy = "approx-celf"
-	// StrategyMLCELF is multilevel CELF: coarsen the graph losslessly (or,
-	// with Options.Coarsen.Lossless false, further via bounded twin
-	// merging), run CELF — exact, or approx-celf when Quality/SampleBudget
-	// ask for sampling — on the quotient, project the picks back to their
-	// supernode heads and locally refine each pick within its fiber by
-	// exact gains. When only lossless rules fired the result is bit-for-bit
-	// StrategyCELF's. Result.CoarsenStats reports the contraction.
-	StrategyMLCELF Strategy = "ml-celf"
 	// StrategyGreedyMax is the paper's Greedy_Max (impacts once, top k).
 	StrategyGreedyMax Strategy = "greedy-max"
 	// StrategyGreedy1 is the paper's Greedy_1 (rank by din·dout).
 	StrategyGreedy1 Strategy = "greedy-1"
-	// StrategyGreedyL is the paper's Greedy_L.
+	// StrategyGreedyL is the paper's Greedy_L, with incremental prefix
+	// maintenance on the single-item engines.
 	StrategyGreedyL Strategy = "greedy-l"
-	// StrategyGreedyLFast is Greedy_L with incremental prefix maintenance;
-	// identical output to StrategyGreedyL.
-	StrategyGreedyLFast Strategy = "greedy-l-fast"
 	// StrategyRandK, StrategyRandI and StrategyRandW are the paper's
 	// randomized baselines.
 	StrategyRandK Strategy = "rand-k"
@@ -64,9 +50,8 @@ const (
 // Strategies lists every strategy Place accepts, in documentation order.
 func Strategies() []Strategy {
 	return []Strategy{
-		StrategyGreedyAll, StrategyCELF, StrategyNaive, StrategyApproxCELF,
-		StrategyMLCELF,
-		StrategyGreedyMax, StrategyGreedy1, StrategyGreedyL, StrategyGreedyLFast,
+		StrategyGreedyAll, StrategyCELF, StrategyNaive,
+		StrategyGreedyMax, StrategyGreedy1, StrategyGreedyL,
 		StrategyRandK, StrategyRandI, StrategyRandW, StrategyProp1,
 	}
 }
@@ -108,25 +93,6 @@ type Options struct {
 	// way). Accounting happens strictly after the algorithm finishes, so
 	// placements are bit-identical with accounting on or off.
 	Account *obs.TenantCounters
-	// Quality is approx-celf's target relative estimate error ε: smaller
-	// values buy more sampled passes and a higher edge-sampling rate.
-	// 0 means DefaultQuality; values are clamped to [0.005, 0.5].
-	// Ignored by every other strategy.
-	Quality float64
-	// SampleBudget, when > 0, overrides the Quality-derived number of
-	// sampled passes per estimate (flow.SampleOptions.Samples).
-	// Ignored by every other strategy.
-	SampleBudget int
-	// SampleSeed drives approx-celf's deterministic sampling streams.
-	// Independent of Seed (which feeds the randomized baselines) so the
-	// two knobs cannot alias.
-	SampleSeed int64
-	// Coarsen configures ml-celf's graph contraction (ignored by every
-	// other strategy): TargetRatio bounds how far bounded rounds shrink
-	// the graph and Lossless restricts contraction to the exactness-
-	// preserving rules. The zero value coarsens to fixpoint with twin
-	// merging allowed.
-	Coarsen flow.CoarsenOptions
 }
 
 // Validate checks every option field against its documented domain. It is
@@ -149,18 +115,6 @@ func (o Options) Validate() error {
 	}
 	if o.Parallelism < 0 {
 		return fmt.Errorf("core: parallelism = %d is negative", o.Parallelism)
-	}
-	if o.Quality < 0 || o.Quality > 0.5 {
-		return fmt.Errorf("core: quality = %v outside [0, 0.5]", o.Quality)
-	}
-	if o.SampleBudget < 0 {
-		return fmt.Errorf("core: sample_budget = %d is negative", o.SampleBudget)
-	}
-	if r := o.Coarsen.TargetRatio; r < 0 || r > 1 {
-		return fmt.Errorf("core: coarsen target ratio %v outside [0, 1]", r)
-	}
-	if o.Coarsen.MaxRounds < 0 {
-		return fmt.Errorf("core: coarsen max rounds = %d is negative", o.Coarsen.MaxRounds)
 	}
 	return nil
 }
@@ -186,14 +140,6 @@ type Result struct {
 	// parallel CELF runs speculative evaluations whose passes execute even
 	// when their results are discarded by the serial-replay commit.
 	Passes PassStats
-	// PhiCI, set by approx-celf only, is the sampling engine's confidence
-	// interval on Φ(A) for the returned filter set. ml-celf propagates it
-	// only from lossless runs, where the quotient objective it estimates
-	// IS the original Φ.
-	PhiCI *flow.MCResult
-	// CoarsenStats, set by ml-celf only, reports what the contraction did.
-	// LosslessOnly means the placement is bit-for-bit StrategyCELF's.
-	CoarsenStats *flow.CoarsenStats
 }
 
 // PassStats counts forward (Φ/receive) and suffix (amplification)
@@ -242,20 +188,14 @@ func Place(ctx context.Context, ev flow.Evaluator, k int, opts Options) (Result,
 		err = placeCELF(ctx, ev, k, opts, &res)
 	case StrategyNaive:
 		err = placeNaive(ctx, ev, k, opts, &res)
-	case StrategyApproxCELF:
-		err = placeApproxCELF(ctx, ev, k, opts, &res)
-	case StrategyMLCELF:
-		err = placeMultilevel(ctx, ev, k, opts, &res)
 	case StrategyGreedyMax:
 		n := ev.Model().N()
 		res.Filters = topK(impactsOf(ev, nil, opts.Parallelism, &res), k)
 		res.Stats.GainEvaluations += n
 	case StrategyGreedy1:
-		res.Filters = Greedy1(ev.Model().Graph(), k)
+		res.Filters = greedy1(ev.Model().Graph(), k)
 	case StrategyGreedyL:
-		res.Filters = GreedyL(ev, k)
-	case StrategyGreedyLFast:
-		res.Filters = GreedyLFast(ev, k)
+		res.Filters = greedyL(ev, k)
 	case StrategyRandK:
 		res.Filters = RandK(ev.Model(), k, opts.rng())
 	case StrategyRandI:
@@ -268,13 +208,10 @@ func Place(ctx context.Context, ev flow.Evaluator, k int, opts Options) (Result,
 		return Result{}, fmt.Errorf("core: unknown strategy %q (have %v)", opts.Strategy, Strategies())
 	}
 	if hasPasses {
-		// Accumulate rather than assign: ml-celf has already charged its
-		// quotient engine's passes to res.Passes.
 		f, s := passCounter.Passes()
-		res.Passes.Forward += f - passF0
-		res.Passes.Suffix += s - passS0
+		res.Passes = PassStats{Forward: f - passF0, Suffix: s - passS0}
 	}
-	opts.Account.AddPlacement(int64(res.Stats.GainEvaluations), int64(res.Stats.SampledEvaluations), res.Passes.Forward, res.Passes.Suffix)
+	opts.Account.AddPlacement(int64(res.Stats.GainEvaluations), res.Passes.Forward, res.Passes.Suffix)
 	if err != nil {
 		res.Filters = nil // partial placements are not usable results
 		return res, err

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -42,8 +43,8 @@ func placeTestModel(t testing.TB, n int, p float64, seed int64) *flow.Model {
 // strategy, on both engines.
 func TestPlaceParallelDeterminism(t *testing.T) {
 	strategies := []Strategy{
-		StrategyGreedyAll, StrategyCELF, StrategyNaive, StrategyMLCELF,
-		StrategyGreedyMax, StrategyGreedy1, StrategyGreedyL, StrategyGreedyLFast,
+		StrategyGreedyAll, StrategyCELF, StrategyNaive,
+		StrategyGreedyMax, StrategyGreedy1, StrategyGreedyL,
 		StrategyRandK, StrategyRandI, StrategyRandW, StrategyProp1,
 	}
 	procsList := []int{1, 4, runtime.GOMAXPROCS(0)}
@@ -78,8 +79,10 @@ func TestPlaceParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestPlaceMatchesLegacy pins the refactor to the pre-Place functions:
-// every strategy reproduces its legacy wrapper's output exactly.
+// TestPlaceMatchesLegacy pins every strategy to its direct reference:
+// parallel greedy-all, celf and naive to serial greedy-all, greedy-max to
+// the top-k impacts, greedy-l to the per-round recompute, and the rest to
+// the functions Place dispatches to.
 func TestPlaceMatchesLegacy(t *testing.T) {
 	m := placeTestModel(t, 120, 0.06, 11)
 	ev := flow.NewFloat(m)
@@ -96,25 +99,22 @@ func TestPlaceMatchesLegacy(t *testing.T) {
 		}
 	}
 	res, _ := Place(ctx, ev, k, Options{Strategy: StrategyGreedyAll, Parallelism: 4})
-	check("greedy-all", res.Filters, GreedyAll(ev, k))
+	check("greedy-all", res.Filters, placeFilters(t, ev, k, StrategyGreedyAll))
 
 	res, _ = Place(ctx, ev, k, Options{Strategy: StrategyCELF, Parallelism: 4})
-	check("celf", res.Filters, GreedyAll(ev, k))
+	check("celf", res.Filters, placeFilters(t, ev, k, StrategyGreedyAll))
 
 	res, _ = Place(ctx, ev, k, Options{Strategy: StrategyNaive, Parallelism: 4})
-	check("naive", res.Filters, GreedyAll(ev, k))
+	check("naive", res.Filters, placeFilters(t, ev, k, StrategyGreedyAll))
 
 	res, _ = Place(ctx, ev, k, Options{Strategy: StrategyGreedyMax, Parallelism: 4})
-	check("greedy-max", res.Filters, GreedyMax(ev, k))
+	check("greedy-max", res.Filters, topK(ev.Impacts(nil), k))
 
 	res, _ = Place(ctx, ev, k, Options{Strategy: StrategyGreedy1})
-	check("greedy-1", res.Filters, Greedy1(m.Graph(), k))
+	check("greedy-1", res.Filters, greedy1(m.Graph(), k))
 
 	res, _ = Place(ctx, ev, k, Options{Strategy: StrategyGreedyL})
-	check("greedy-l", res.Filters, GreedyL(ev, k))
-
-	res, _ = Place(ctx, ev, k, Options{Strategy: StrategyGreedyLFast})
-	check("greedy-l-fast", res.Filters, GreedyLFast(ev, k))
+	check("greedy-l", res.Filters, referenceGreedyL(ev, k))
 
 	res, _ = Place(ctx, ev, k, Options{Strategy: StrategyRandK, Seed: 3})
 	check("rand-k", res.Filters, RandK(m, k, rand.New(rand.NewSource(3))))
@@ -204,6 +204,37 @@ func TestPlaceUnknownStrategy(t *testing.T) {
 	m := placeTestModel(t, 20, 0.2, 1)
 	if _, err := Place(context.Background(), flow.NewFloat(m), 3, Options{Strategy: "simulated-annealing"}); err == nil {
 		t.Fatal("unknown strategy accepted")
+	}
+}
+
+// TestOptionsValidate pins Validate, the single validation authority:
+// good options pass, bad ones fail identically through Place, and the
+// deleted approximate, multilevel and duplicate greedy-l strategies are
+// unknown names whose error lists the fast path.
+func TestOptionsValidate(t *testing.T) {
+	for i, o := range []Options{{}, {Strategy: StrategyCELF}, {Parallelism: 8}} {
+		if err := o.Validate(); err != nil {
+			t.Fatalf("good[%d] rejected: %v", i, err)
+		}
+	}
+	m := placeTestModel(t, 10, 0.2, 1)
+	for i, o := range []Options{
+		{Strategy: "no-such-strategy"},
+		{Parallelism: -1},
+		{Strategy: "approx-celf"},
+		{Strategy: "ml-celf"},
+		{Strategy: "greedy-l-fast"},
+	} {
+		err := o.Validate()
+		if err == nil {
+			t.Fatalf("bad[%d] accepted: %+v", i, o)
+		}
+		if o.Strategy != "" && !strings.Contains(err.Error(), string(StrategyGreedyAll)) {
+			t.Errorf("bad[%d]: error %q does not name %s", i, err, StrategyGreedyAll)
+		}
+		if _, perr := Place(context.Background(), flow.NewFloat(m), 2, o); perr == nil || perr.Error() != err.Error() {
+			t.Errorf("bad[%d]: Place error %v, Validate error %v", i, perr, err)
+		}
 	}
 }
 

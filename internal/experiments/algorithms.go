@@ -76,11 +76,9 @@ func StandardAlgorithms(parallelism ...int) []Algorithm {
 			Incremental: true,
 		},
 		{
-			// greedy-l-fast implements the paper's "clever bookkeeping"
-			// remark; output is identical to plain Greedy_L.
 			Name: "G_L",
 			Place: func(ev flow.Evaluator, k int, _ *rand.Rand) []int {
-				return place(ev, core.StrategyGreedyLFast, k, 1, nil)
+				return place(ev, core.StrategyGreedyL, k, 1, nil)
 			},
 			Incremental: true,
 		},

@@ -90,7 +90,7 @@ func AblationTreeOptimality(opt Options) (*Report, error) {
 			if dpF == 0 {
 				continue // redundancy-free tree
 			}
-			greedy := core.GreedyAll(ev, k)
+			greedy := place(ev, core.StrategyGreedyAll, k, 1, nil)
 			gF := ev.F(flow.MaskOf(g.N(), greedy))
 			ratio := gF / dpF
 			sum += ratio

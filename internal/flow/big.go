@@ -17,10 +17,6 @@ type BigEngine struct {
 	p        *Plan
 	phiEmpty *big.Int
 	maxF     *big.Int
-	// mul holds the exact node multiplicities of a coarse model (nil
-	// entries for zero-weight nodes, nil slice for ordinary models);
-	// immutable, shared by clones.
-	mul []*big.Int
 	// pc counts topological passes; the shallow Clone copy shares it.
 	pc *passCount
 }
@@ -32,14 +28,6 @@ func NewBig(m *Model) *BigEngine {
 		panic("flow: BigEngine does not support weighted models")
 	}
 	e := &BigEngine{m: m, p: m.Plan(), pc: &passCount{}}
-	if m.mul != nil {
-		e.mul = make([]*big.Int, len(m.mul))
-		for v, w := range m.mul {
-			if w != 0 {
-				e.mul[v] = big.NewInt(w)
-			}
-		}
-	}
 	e.phiEmpty = e.phiBig(nil)
 	e.maxF = new(big.Int).Sub(e.phiEmpty, e.phiBig(AllFilters(m)))
 	return e
@@ -118,16 +106,10 @@ func (e *BigEngine) forwardBigP(filters []bool, procs int) (rec, emit []*big.Int
 }
 
 func (e *BigEngine) phiBig(filters []bool) *big.Int {
-	rec, emit := e.forwardBig(filters)
+	rec, _ := e.forwardBig(filters)
 	total := new(big.Int)
-	var tmp big.Int
-	for v, r := range rec {
+	for _, r := range rec {
 		total.Add(total, r)
-		if e.mul != nil && e.mul[v] != nil {
-			// Coarse model: the supernode's contracted interior receives
-			// emit(v) once per multiplicity unit.
-			total.Add(total, tmp.Mul(e.mul[v], emit[v]))
-		}
 	}
 	return total
 }
@@ -149,11 +131,6 @@ func (e *BigEngine) FBig(filters []bool) *big.Int {
 // its out-neighbors; the per-node kernel shared with the parallel pass.
 func (e *BigEngine) stepSuffixBig(v int, filters []bool, suf []*big.Int) {
 	s := new(big.Int)
-	if e.mul != nil && e.mul[v] != nil {
-		// Coarse model: seed with the node's own multiplicity — one extra
-		// unit of emission reaches each contracted interior receiver once.
-		s.Set(e.mul[v])
-	}
 	for _, c := range e.m.g.Out(v) {
 		s.Add(s, bigOne)
 		if filters == nil || !filters[c] {

@@ -115,7 +115,7 @@ func (e *FloatEngine) Passes() (forward, suffix int64) {
 
 func (e *FloatEngine) phi(filters []bool) float64 {
 	sc := e.passes(filters, false)
-	return e.p.sumPhi(sc.rec, sc.emit)
+	return e.p.sumOriginal(sc.rec)
 }
 
 // Phi implements Evaluator.

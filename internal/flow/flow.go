@@ -62,13 +62,6 @@ type Model struct {
 	// weight returns the relay probability of edge (u,v); nil means the
 	// deterministic model (weight 1 everywhere).
 	weight func(u, v int) float64
-	// mul, when non-nil, carries per-node multiplicity weights: node v
-	// stands for mul[v] additional receivers beyond itself, each receiving
-	// one copy of whatever v emits. Quotient models built by Coarsen use
-	// this so Φ over the quotient equals Φ over the contracted original:
-	// Φ = Σ_v rec(v) + mul[v]·emit(v), and suffix passes seed each node
-	// with mul[v]. nil (every ordinary model) means mul ≡ 0 everywhere.
-	mul []int64
 	// pc caches the model's execution plan. It is a pointer so the
 	// copy-on-write constructors (WithWeights) can give the copy a fresh
 	// cache without copying a used sync.Once.
@@ -118,9 +111,6 @@ func NewModelFromPlan(p *Plan, sources []int) (*Model, error) {
 	if p.Weighted() {
 		return nil, fmt.Errorf("flow: NewModelFromPlan supports only unweighted plans")
 	}
-	if p.Coarse() {
-		return nil, fmt.Errorf("flow: NewModelFromPlan does not support coarse (quotient) plans")
-	}
 	g := p.Digraph()
 	if len(sources) == 0 {
 		sources = g.Sources()
@@ -144,40 +134,6 @@ func NewModelFromPlan(p *Plan, sources []int) (*Model, error) {
 	return &Model{g: g, sources: append([]int(nil), sources...), isSrc: isSrc, topo: topo, pc: pc}, nil
 }
 
-// NewCoarseModel builds a model whose nodes carry multiplicity weights —
-// the quotient-graph form produced by Coarsen, where supernode v stands
-// for mul[v] contracted receivers beyond itself. Evaluation semantics:
-// every engine adds mul[v]·emit(v) to Φ and seeds v's suffix with mul[v],
-// so the closed-form gain (rec−1)·suffix prices the contracted interior
-// without ever expanding it. Weights must be non-negative; a nil or
-// all-zero mul is equivalent to NewModel. Coarse models are always
-// unweighted (deterministic relay).
-func NewCoarseModel(g *graph.Digraph, sources []int, mul []int64) (*Model, error) {
-	m, err := NewModel(g, sources)
-	if err != nil {
-		return nil, err
-	}
-	if mul == nil {
-		return m, nil
-	}
-	if len(mul) != g.N() {
-		return nil, fmt.Errorf("flow: mul length %d != node count %d", len(mul), g.N())
-	}
-	allZero := true
-	for v, w := range mul {
-		if w < 0 {
-			return nil, fmt.Errorf("flow: mul[%d] = %d is negative", v, w)
-		}
-		if w != 0 {
-			allZero = false
-		}
-	}
-	if !allZero {
-		m.mul = append([]int64(nil), mul...)
-	}
-	return m, nil
-}
-
 // MustModel is NewModel that panics on error, for tests and examples over
 // known-good graphs.
 func MustModel(g *graph.Digraph, sources []int) *Model {
@@ -193,9 +149,6 @@ func MustModel(g *graph.Digraph, sources []int) *Model {
 // lazily (engines validate the values they read). Only the Float engine
 // supports weighted models.
 func (m *Model) WithWeights(w func(u, v int) float64) *Model {
-	if m.mul != nil {
-		panic("flow: coarse (multiplicity-weighted) models do not support edge weights")
-	}
 	c := *m
 	c.weight = w
 	c.pc = &planCache{} // weights are baked into the plan; the copy needs its own
@@ -235,18 +188,6 @@ func (m *Model) Topo() []int { return m.topo }
 
 // Weighted reports whether the model carries edge weights.
 func (m *Model) Weighted() bool { return m.weight != nil }
-
-// Coarse reports whether the model carries node multiplicity weights
-// (it was built by NewCoarseModel over a contracted quotient graph).
-func (m *Model) Coarse() bool { return m.mul != nil }
-
-// NodeWeight returns node v's multiplicity weight (0 on ordinary models).
-func (m *Model) NodeWeight(v int) int64 {
-	if m.mul == nil {
-		return 0
-	}
-	return m.mul[v]
-}
 
 // N returns the node count of the underlying graph.
 func (m *Model) N() int { return m.g.N() }

@@ -43,6 +43,21 @@ type MCResult struct {
 // CI95 returns the half-width of the 95% confidence interval.
 func (r MCResult) CI95() float64 { return 1.96 * r.StdErr }
 
+// sampleGamma is the splitmix64 increment (Steele et al., "Fast
+// splittable pseudorandom number generators").
+const sampleGamma uint64 = 0x9E3779B97F4A7C15
+
+// mix64 is the splitmix64 finalizer: a bijective avalanche mix used to
+// derive independent streams from (seed, shard) coordinates.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	x ^= x >> 31
+	return x
+}
+
 // mcShardSeed derives shard s's RNG stream from the caller's seed.
 func mcShardSeed(seed int64, s int) int64 {
 	return int64(mix64(uint64(seed) ^ (uint64(s)+1)*sampleGamma))

@@ -82,14 +82,6 @@ type Plan struct {
 	outAdj []int32
 	outW   []float64
 
-	// mulW, when non-nil, is the plan-indexed node multiplicity of a
-	// coarse (quotient) model: position i stands for mulW[i] contracted
-	// receivers beyond itself. The suffix kernel seeds suf[i] with it and
-	// sumPhi adds mulW[i]·emit[i] per node, so coarse Φ/gain evaluation
-	// runs on the same flat kernels as ordinary plans. nil everywhere else
-	// — the hot kernels of ordinary models are untouched.
-	mulW []float64
-
 	// falseMask is a shared all-false mask handed to kernels when the
 	// caller passes nil filters; it is never written.
 	falseMask []bool
@@ -224,13 +216,6 @@ func buildPlan(m *Model) *Plan {
 	p.inOff[n] = ein
 	p.outOff[n] = eout
 
-	if m.mul != nil {
-		p.mulW = make([]float64, n)
-		for i := 0; i < n; i++ {
-			p.mulW[i] = float64(m.mul[p.perm[i]])
-		}
-	}
-
 	p.falseMask = make([]bool, n)
 
 	// Precompute per-level chunk boundaries for the scheduler's current
@@ -308,10 +293,6 @@ func (p *Plan) MaxWidth() int {
 
 // Weighted reports whether the plan carries per-edge relay probabilities.
 func (p *Plan) Weighted() bool { return p.weighted }
-
-// Coarse reports whether the plan carries node multiplicity weights (it
-// belongs to a quotient model built by Coarsen).
-func (p *Plan) Coarse() bool { return p.mulW != nil }
 
 func (p *Plan) numLevels() int { return len(p.levelOff) - 1 }
 
@@ -421,25 +402,6 @@ func (p *Plan) forwardRange(src, fmask []bool, rec, emit []float64, lo, hi int) 
 // once all later levels are done.
 func (p *Plan) suffixRange(fmask []bool, suf []float64, lo, hi int) {
 	outOff, outAdj := p.outOff, p.outAdj
-	if p.mulW != nil {
-		// Coarse plan (never weighted): a supernode's suffix starts at its
-		// own multiplicity — one extra unit of emission reaches each of its
-		// mulW[i] contracted interior receivers exactly once — and then
-		// accumulates the usual external out-edge terms.
-		mw := p.mulW
-		for i := hi - 1; i >= lo; i-- {
-			s := mw[i]
-			for _, c := range outAdj[outOff[i]:outOff[i+1]] {
-				t := 1 + suf[c]
-				if fmask[c] {
-					t = 1
-				}
-				s += t
-			}
-			suf[i] = s
-		}
-		return
-	}
 	if p.outW == nil {
 		for i := hi - 1; i >= lo; i-- {
 			s := 0.0
@@ -483,28 +445,6 @@ func (p *Plan) sumOriginal(vals []float64) float64 {
 	}
 	for _, i := range p.pos {
 		total += vals[i]
-	}
-	return total
-}
-
-// sumPhi folds one forward pass into Φ(A,V): Σ rec on ordinary plans,
-// Σ rec[i] + mulW[i]·emit[i] on coarse plans (each supernode's contracted
-// interior receives emit[i] once per multiplicity unit). Both sum in
-// ascending original node order for bit-stable float accumulation.
-func (p *Plan) sumPhi(rec, emit []float64) float64 {
-	if p.mulW == nil {
-		return p.sumOriginal(rec)
-	}
-	mw := p.mulW
-	total := 0.0
-	if p.identity {
-		for i, r := range rec {
-			total += r + mw[i]*emit[i]
-		}
-		return total
-	}
-	for _, i := range p.pos {
-		total += rec[i] + mw[i]*emit[i]
 	}
 	return total
 }

@@ -120,7 +120,7 @@ type Splicer struct {
 // starting plan is built from the view.
 func NewSplicer(view DynDigraph, adopt *Plan, opts SpliceOptions) *Splicer {
 	s := &Splicer{view: view, opts: opts.withDefaults()}
-	if adopt != nil && !adopt.weighted && adopt.mulW == nil && adopt.n == view.N() {
+	if adopt != nil && !adopt.weighted && adopt.n == view.N() {
 		s.plan = adopt
 		s.grow(adopt.n)
 		for l := 0; l < adopt.numLevels(); l++ {

@@ -12,8 +12,7 @@ import (
 // length around chainLen, and with probability 1/2 re-enters the core at
 // a node strictly after its origin (so the graph stays acyclic); the
 // other chains dangle as relay tails. The structure models dissemination
-// paths dominated by forwarding — the regime where multilevel placement's
-// lossless chain folding contracts hardest. Node 0 is the single source.
+// paths dominated by forwarding. Node 0 is the single source.
 func ChainDAG(n, chainLen int, seed int64) (*graph.Digraph, int) {
 	if chainLen < 1 {
 		chainLen = 1
@@ -58,11 +57,9 @@ func ChainDAG(n, chainLen int, seed int64) (*graph.Digraph, int) {
 // DeepDAG returns a deep DAG with heterogeneous fan-in: n nodes arranged
 // in `levels` levels, where each node draws its in-degree from a
 // heavy-tailed distribution (most nodes are single-in relays, a few are
-// high-fan-in aggregators) over the previous level. Deep level counts
-// with per-level noise are the sampling engine's hardest regime, and the
-// single-in majority gives the coarsener folding opportunities between
-// the aggregation points. A super-source (the returned id, node n) feeds
-// every first-level node.
+// high-fan-in aggregators) over the previous level: long single-in relay
+// runs between sparse aggregation points. A super-source (the returned
+// id, node n) feeds every first-level node.
 func DeepDAG(n, levels int, seed int64) (*graph.Digraph, int) {
 	if levels < 2 {
 		levels = 2

@@ -55,7 +55,6 @@ type TenantCounters struct {
 
 	placements    atomic.Int64
 	oracleEvals   atomic.Int64
-	sampledEvals  atomic.Int64
 	forwardPasses atomic.Int64
 	suffixPasses  atomic.Int64
 
@@ -70,9 +69,6 @@ type TenantCounters struct {
 	planSplices    atomic.Int64
 	planRebuilds   atomic.Int64
 	planRepairWork atomic.Int64
-
-	coarsenPlacements      atomic.Int64
-	coarsenNodesContracted atomic.Int64
 }
 
 // Name returns the tenant identifier the counters accumulate under
@@ -114,19 +110,16 @@ func (c *TenantCounters) AddJobOutcome(state string) {
 	}
 }
 
-// AddPlacement attributes one completed placement's exact oracle
-// evaluations, sampled (approximate-engine) evaluations and topological
-// pass counts. Called after core.Place returns — never from inside the
-// algorithm — so accounting cannot perturb placement results. Sampled
-// evaluations are charged like oracle evaluations: they are the
-// approximate engine's unit of work.
-func (c *TenantCounters) AddPlacement(evals, sampled, forward, suffix int64) {
+// AddPlacement attributes one completed placement's oracle evaluations
+// and topological pass counts. Called after core.Place returns — never
+// from inside the algorithm — so accounting cannot perturb placement
+// results.
+func (c *TenantCounters) AddPlacement(evals, forward, suffix int64) {
 	if c == nil {
 		return
 	}
 	c.placements.Add(1)
 	c.oracleEvals.Add(evals)
-	c.sampledEvals.Add(sampled)
 	c.forwardPasses.Add(forward)
 	c.suffixPasses.Add(suffix)
 }
@@ -190,47 +183,31 @@ func (c *TenantCounters) AddPlanRepair(spliced bool, work int64) {
 	}
 }
 
-// AddCoarsen attributes one multilevel placement's graph contraction:
-// nodesContracted is how many nodes the coarsening removed before the
-// quotient solve. Charged post-placement, like AddPlacement.
-func (c *TenantCounters) AddCoarsen(nodesContracted int64) {
-	if c == nil {
-		return
-	}
-	c.coarsenPlacements.Add(1)
-	if nodesContracted > 0 {
-		c.coarsenNodesContracted.Add(nodesContracted)
-	}
-}
-
 // Usage snapshots the counters.
 func (c *TenantCounters) Usage() TenantUsage {
 	if c == nil {
 		return TenantUsage{}
 	}
 	return TenantUsage{
-		Tenant:                 c.name,
-		Requests:               c.requests.Load(),
-		JobsSubmitted:          c.jobsSubmitted.Load(),
-		JobsCompleted:          c.jobsCompleted.Load(),
-		JobsFailed:             c.jobsFailed.Load(),
-		JobsCanceled:           c.jobsCanceled.Load(),
-		Placements:             c.placements.Load(),
-		OracleEvaluations:      c.oracleEvals.Load(),
-		SampledEvaluations:     c.sampledEvals.Load(),
-		ForwardPasses:          c.forwardPasses.Load(),
-		SuffixPasses:           c.suffixPasses.Load(),
-		CacheHits:              c.cacheHits.Load(),
-		CacheMisses:            c.cacheMisses.Load(),
-		JobQueueWaitSeconds:    time.Duration(c.queueWaitNS.Load()).Seconds(),
-		JobRunSeconds:          time.Duration(c.runNS.Load()).Seconds(),
-		SchedQueueWaitSeconds:  time.Duration(c.schedWaitNS.Load()).Seconds(),
-		SchedTasks:             c.schedTasks.Load(),
-		PlanSplices:            c.planSplices.Load(),
-		PlanRebuilds:           c.planRebuilds.Load(),
-		PlanRepairWork:         c.planRepairWork.Load(),
-		CoarsenPlacements:      c.coarsenPlacements.Load(),
-		CoarsenNodesContracted: c.coarsenNodesContracted.Load(),
+		Tenant:                c.name,
+		Requests:              c.requests.Load(),
+		JobsSubmitted:         c.jobsSubmitted.Load(),
+		JobsCompleted:         c.jobsCompleted.Load(),
+		JobsFailed:            c.jobsFailed.Load(),
+		JobsCanceled:          c.jobsCanceled.Load(),
+		Placements:            c.placements.Load(),
+		OracleEvaluations:     c.oracleEvals.Load(),
+		ForwardPasses:         c.forwardPasses.Load(),
+		SuffixPasses:          c.suffixPasses.Load(),
+		CacheHits:             c.cacheHits.Load(),
+		CacheMisses:           c.cacheMisses.Load(),
+		JobQueueWaitSeconds:   time.Duration(c.queueWaitNS.Load()).Seconds(),
+		JobRunSeconds:         time.Duration(c.runNS.Load()).Seconds(),
+		SchedQueueWaitSeconds: time.Duration(c.schedWaitNS.Load()).Seconds(),
+		SchedTasks:            c.schedTasks.Load(),
+		PlanSplices:           c.planSplices.Load(),
+		PlanRebuilds:          c.planRebuilds.Load(),
+		PlanRepairWork:        c.planRepairWork.Load(),
 	}
 }
 
@@ -245,7 +222,6 @@ type TenantUsage struct {
 	JobsCanceled          int64   `json:"jobs_canceled"`
 	Placements            int64   `json:"placements"`
 	OracleEvaluations     int64   `json:"oracle_evaluations"`
-	SampledEvaluations    int64   `json:"sampled_evaluations"`
 	ForwardPasses         int64   `json:"forward_passes"`
 	SuffixPasses          int64   `json:"suffix_passes"`
 	CacheHits             int64   `json:"cache_hits"`
@@ -259,11 +235,6 @@ type TenantUsage struct {
 	PlanSplices    int64 `json:"plan_splices"`
 	PlanRebuilds   int64 `json:"plan_rebuilds"`
 	PlanRepairWork int64 `json:"plan_repair_work"`
-	// CoarsenPlacements counts the tenant's multilevel (mlcelf)
-	// placements; CoarsenNodesContracted the nodes their coarsening
-	// removed before the quotient solve.
-	CoarsenPlacements      int64 `json:"coarsen_placements"`
-	CoarsenNodesContracted int64 `json:"coarsen_nodes_contracted"`
 }
 
 // Accountant aggregates per-tenant resource usage. Lookup is a

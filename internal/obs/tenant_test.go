@@ -29,7 +29,7 @@ func TestTenantCountersNilSafe(t *testing.T) {
 	c.AddRequest()
 	c.AddJobSubmitted()
 	c.AddJobOutcome("done")
-	c.AddPlacement(1, 2, 3, 4)
+	c.AddPlacement(1, 2, 3)
 	c.AddCacheHit()
 	c.AddCacheMiss()
 	c.AddQueueWait(time.Second)
@@ -53,7 +53,7 @@ func TestTenantCountersUsage(t *testing.T) {
 	c.AddJobOutcome("failed")
 	c.AddJobOutcome("canceled")
 	c.AddJobOutcome("bogus") // ignored
-	c.AddPlacement(100, 40, 7, 3)
+	c.AddPlacement(100, 7, 3)
 	c.AddCacheHit()
 	c.AddCacheMiss()
 	c.AddQueueWait(1500 * time.Millisecond)
@@ -65,7 +65,7 @@ func TestTenantCountersUsage(t *testing.T) {
 	want := TenantUsage{
 		Tenant: "acme", Requests: 2,
 		JobsSubmitted: 1, JobsCompleted: 1, JobsFailed: 1, JobsCanceled: 1,
-		Placements: 1, OracleEvaluations: 100, SampledEvaluations: 40, ForwardPasses: 7, SuffixPasses: 3,
+		Placements: 1, OracleEvaluations: 100, ForwardPasses: 7, SuffixPasses: 3,
 		CacheHits: 1, CacheMisses: 1,
 		JobQueueWaitSeconds: 1.5, JobRunSeconds: 0.25,
 		SchedQueueWaitSeconds: 0.5, SchedTasks: 2,
@@ -147,7 +147,7 @@ func TestAccountantConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				c := a.Tenant(fmt.Sprintf("tenant-%d", i%12))
 				c.AddRequest()
-				c.AddPlacement(1, 1, 1, 1)
+				c.AddPlacement(1, 1, 1)
 				if i%10 == 0 {
 					a.Snapshot()
 					a.Len()

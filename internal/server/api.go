@@ -291,9 +291,25 @@ func parseNodeList(s string, n int) ([]int, error) {
 	return nodes, nil
 }
 
-// handleListJobs is GET /v1/jobs.
+// handleListJobs is GET /v1/jobs. Each job encodes on its own, so one
+// whose result JSON cannot carry (a non-finite float from an overflowed
+// graph) is listed without its result and with an error saying so, rather
+// than failing every caller's listing.
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]any{"jobs": s.jobs.List()})
+	jobs := s.jobs.List()
+	items := make([]json.RawMessage, len(jobs))
+	for i, info := range jobs {
+		b, err := json.Marshal(info)
+		if err != nil {
+			s.logf("fpd: encode response: job %s: %v", info.ID, err)
+			s.metrics.RequestErrors.Add(1)
+			info.Result, info.Batch = nil, nil
+			info.Error = fmt.Sprintf("result not representable in JSON: %v", err)
+			b, _ = json.Marshal(info) // without results, every field encodes
+		}
+		items[i] = b
+	}
+	s.writeJSON(w, http.StatusOK, map[string]any{"jobs": items})
 }
 
 // handleGetJob is GET /v1/jobs/{id}.

@@ -63,24 +63,6 @@ type Metrics struct {
 	// splice path.
 	PlanSplices  atomic.Int64
 	PlanRebuilds atomic.Int64
-	// ApproxPlacements counts placements served by the estimate-driven
-	// approx algorithm; ApproxSampledEvaluations its sampled gain
-	// estimates and ApproxExactRechecks the exact oracle evaluations it
-	// spent confirming heap tops. Rechecks/placements ≪ oracle
-	// evaluations/exact-placement is the signal that approximation is
-	// actually saving exact work.
-	ApproxPlacements         atomic.Int64
-	ApproxSampledEvaluations atomic.Int64
-	ApproxExactRechecks      atomic.Int64
-	// Coarsen* describe the multilevel (mlcelf) path: placements that ran
-	// through graph coarsening, how many nodes the contractions removed,
-	// how many contraction rounds they spent, and how many runs stayed on
-	// the lossless (bit-exact) rules only. NodesContracted/Placements is
-	// the operator's view of how compressible the workload's graphs are.
-	CoarsenPlacements      atomic.Int64
-	CoarsenNodesContracted atomic.Int64
-	CoarsenRounds          atomic.Int64
-	CoarsenLossless        atomic.Int64
 }
 
 // MetricsSnapshot is the JSON shape served by GET /metrics. JobQueueDepth
@@ -143,17 +125,6 @@ type MetricsSnapshot struct {
 	// into incremental splices vs from-scratch rebuilds.
 	PlanSplices  int64 `json:"plan_splices_total"`
 	PlanRebuilds int64 `json:"plan_rebuilds_total"`
-	// Approx* split the approximate engine's work: sampled estimates vs
-	// the exact re-checks that gate each commit.
-	ApproxPlacements         int64 `json:"approx_placements_total"`
-	ApproxSampledEvaluations int64 `json:"approx_sampled_evaluations_total"`
-	ApproxExactRechecks      int64 `json:"approx_exact_rechecks_total"`
-	// Coarsen* describe multilevel placements: runs, nodes contracted
-	// away, contraction rounds, and runs that stayed lossless-only.
-	CoarsenPlacements      int64 `json:"coarsen_placements_total"`
-	CoarsenNodesContracted int64 `json:"coarsen_nodes_contracted_total"`
-	CoarsenRounds          int64 `json:"coarsen_rounds_total"`
-	CoarsenLossless        int64 `json:"coarsen_lossless_total"`
 }
 
 // Snapshot copies every counter into the same-named MetricsSnapshot

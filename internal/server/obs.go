@@ -26,8 +26,8 @@ type serverObs struct {
 	// via sched.Pool.SetQueueWaitSampler.
 	schedWait *obs.Histogram
 	// placeStage is per-stage placement time (greedy-round, celf-init,
-	// celf-recheck, naive-round, build-evaluator, coarsen, refine,
-	// maintain), fed by each job trace's sink.
+	// celf-recheck, naive-round, build-evaluator, maintain), fed by each
+	// job trace's sink.
 	placeStage *obs.HistogramVec
 }
 
@@ -87,8 +87,6 @@ var tenantSeries = []struct {
 		func(u obs.TenantUsage) float64 { return float64(u.Placements) }},
 	{"fpd_tenant_oracle_evaluations_total", "Marginal-gain oracle evaluations spent for the tenant.", "counter",
 		func(u obs.TenantUsage) float64 { return float64(u.OracleEvaluations) }},
-	{"fpd_tenant_sampled_evaluations_total", "Sampled (approximate-engine) gain estimates spent for the tenant.", "counter",
-		func(u obs.TenantUsage) float64 { return float64(u.SampledEvaluations) }},
 	{"fpd_tenant_forward_passes_total", "Forward topological passes executed for the tenant.", "counter",
 		func(u obs.TenantUsage) float64 { return float64(u.ForwardPasses) }},
 	{"fpd_tenant_suffix_passes_total", "Suffix topological passes executed for the tenant.", "counter",
@@ -111,10 +109,6 @@ var tenantSeries = []struct {
 		func(u obs.TenantUsage) float64 { return float64(u.PlanRebuilds) }},
 	{"fpd_tenant_plan_repair_work_total", "Abstract plan-repair cost (visits + moves + CSR rows) charged to the tenant.", "counter",
 		func(u obs.TenantUsage) float64 { return float64(u.PlanRepairWork) }},
-	{"fpd_tenant_coarsen_placements_total", "Multilevel (coarsened) placements executed for the tenant.", "counter",
-		func(u obs.TenantUsage) float64 { return float64(u.CoarsenPlacements) }},
-	{"fpd_tenant_coarsen_nodes_contracted_total", "Nodes removed by graph coarsening in the tenant's multilevel placements.", "counter",
-		func(u obs.TenantUsage) float64 { return float64(u.CoarsenNodesContracted) }},
 }
 
 // registerTenantSeries exposes the accountant as labeled Prometheus

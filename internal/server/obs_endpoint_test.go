@@ -107,6 +107,29 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	}
 }
 
+// TestRemovedSeriesAbsent: the scrape carries no series of the deleted
+// approximate and multilevel placement paths, while the tenant family
+// they used to sit beside is still emitted.
+func TestRemovedSeriesAbsent(t *testing.T) {
+	ts := newTestServer(t, server.Config{})
+	info := uploadDiamond(t, ts.URL)
+	var ji server.JobInfo
+	if code, _ := doJSONHeaders(t, "POST", ts.URL+"/v1/graphs/"+info.ID+"/place",
+		map[string]string{"X-FP-Tenant": "acme"}, server.PlaceSpec{Algorithm: "gall", K: 1}, &ji); code != http.StatusAccepted {
+		t.Fatalf("async place: status %d", code)
+	}
+	waitJob(t, ts.URL, ji.ID)
+	body := fetchText(t, ts.URL+"/metrics?format=prometheus")
+	if !strings.Contains(body, `fpd_tenant_oracle_evaluations_total{tenant="acme"}`) {
+		t.Fatal("tenant series missing: the absence checks below would be vacuous")
+	}
+	for _, prefix := range []string{"fpd_approx_", "fpd_coarsen_", "fpd_tenant_sampled_", "fpd_tenant_coarsen_"} {
+		if strings.Contains(body, prefix) {
+			t.Errorf("exposition still carries a %s* series", prefix)
+		}
+	}
+}
+
 // TestJobTimelines checks GET /v1/jobs/{id} reports a stage timeline for
 // the async job kinds: solo greedy-all and CELF jobs, and gang batches.
 func TestJobTimelines(t *testing.T) {

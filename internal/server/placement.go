@@ -28,31 +28,6 @@ type PlaceSpec struct {
 	// MaxParallelism are clamped. Results are bit-for-bit independent of
 	// the setting, so it does not participate in the result-cache key.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Quality is the approximate engine's target relative error (approx
-	// algorithm only; 0 means the engine default). Zeroed for every other
-	// algorithm so it cannot fragment their cache slots.
-	Quality float64 `json:"quality,omitempty"`
-	// SampleBudget overrides the sampled pass count derived from Quality
-	// (approx only; 0 derives from Quality).
-	SampleBudget int `json:"sample_budget,omitempty"`
-	// Coarsen selects the mlcelf contraction mode: "lossless" restricts
-	// coarsening to the bit-exactness-preserving rules, "bounded" (the
-	// default) also merges modular twins and locally refines the projected
-	// picks. Zeroed for every other algorithm.
-	Coarsen string `json:"coarsen,omitempty"`
-	// CoarsenRatio is mlcelf's bounded-mode target node ratio in [0, 1]:
-	// twin-merge rounds stop once quotient/original nodes falls below it
-	// (0 contracts to fixpoint). Lossless rules always run to fixpoint
-	// regardless.
-	CoarsenRatio float64 `json:"coarsen_ratio,omitempty"`
-}
-
-// coarsenOptions maps the spec's validated coarsen fields to core options.
-func (sp *PlaceSpec) coarsenOptions() flow.CoarsenOptions {
-	return flow.CoarsenOptions{
-		TargetRatio: sp.CoarsenRatio,
-		Lossless:    sp.Coarsen == "lossless",
-	}
 }
 
 // PlaceResult is the placement outcome, returned inline for synchronous
@@ -79,16 +54,9 @@ type PlaceResult struct {
 	// (parallel CELF runs speculative evaluations), so it never enters
 	// cache keys or determinism comparisons.
 	Passes *core.PassStats `json:"passes,omitempty"`
-	// PhiCI is the approximate engine's sampled confidence interval on
-	// Φ(A) — the honesty report that accompanies an estimate-driven
-	// placement. Exact algorithms omit it.
-	PhiCI *flow.MCResult `json:"phi_ci,omitempty"`
 	// Maintain is set by the auto-maintain job kind: what the maintenance
 	// pass did to the previous placement.
 	Maintain *MaintainInfo `json:"maintain,omitempty"`
-	// Coarsen, set by mlcelf only, reports what the graph contraction did.
-	// lossless_only true means the result is bit-for-bit celf's.
-	Coarsen *flow.CoarsenStats `json:"coarsen,omitempty"`
 }
 
 // algoSpec describes one placement algorithm: which core.Place strategy
@@ -99,24 +67,19 @@ type algoSpec struct {
 	async      bool
 	randomized bool
 	kless      bool // ignores the budget (prop1 places at every merge node)
-	approx     bool // estimate-driven: quality/sample_budget apply, result carries phi_ci
-	coarsen    bool // multilevel: coarsen/coarsen_ratio apply, result carries coarsen stats
 	strategy   core.Strategy
 }
 
 var algos = map[string]algoSpec{
-	"gall":   {async: true, strategy: core.StrategyGreedyAll},
-	"celf":   {async: true, strategy: core.StrategyCELF},
-	"approx": {async: true, approx: true, strategy: core.StrategyApproxCELF},
-	"mlcelf": {async: true, approx: true, coarsen: true, strategy: core.StrategyMLCELF},
-	"gmax":   {strategy: core.StrategyGreedyMax},
-	"g1":     {strategy: core.StrategyGreedy1},
-	"gl":     {strategy: core.StrategyGreedyL},
-	"glfast": {strategy: core.StrategyGreedyLFast},
-	"randk":  {randomized: true, strategy: core.StrategyRandK},
-	"randi":  {randomized: true, strategy: core.StrategyRandI},
-	"randw":  {randomized: true, strategy: core.StrategyRandW},
-	"prop1":  {kless: true, strategy: core.StrategyProp1},
+	"gall":  {async: true, strategy: core.StrategyGreedyAll},
+	"celf":  {async: true, strategy: core.StrategyCELF},
+	"gmax":  {strategy: core.StrategyGreedyMax},
+	"g1":    {strategy: core.StrategyGreedy1},
+	"gl":    {strategy: core.StrategyGreedyL},
+	"randk": {randomized: true, strategy: core.StrategyRandK},
+	"randi": {randomized: true, strategy: core.StrategyRandI},
+	"randw": {randomized: true, strategy: core.StrategyRandW},
+	"prop1": {kless: true, strategy: core.StrategyProp1},
 }
 
 // Algorithms lists the accepted algorithm names, asynchronous ones first.
@@ -159,32 +122,12 @@ func (sp *PlaceSpec) validate(m *flow.Model, maxParallelism int) (algoSpec, erro
 	default:
 		return algoSpec{}, fmt.Errorf("unknown engine %q (have float, big)", sp.Engine)
 	}
-	if !spec.randomized && !spec.approx {
+	if !spec.randomized {
 		sp.Seed = 0 // deterministic algorithms: one cache slot for all seeds
 	}
-	if !spec.approx {
-		sp.Quality, sp.SampleBudget = 0, 0 // irrelevant: don't fragment cache slots
-	}
-	if spec.coarsen {
-		switch sp.Coarsen {
-		case "":
-			sp.Coarsen = "bounded" // canonical: one cache slot for the default
-		case "bounded", "lossless":
-		default:
-			return algoSpec{}, fmt.Errorf("unknown coarsen mode %q (have lossless, bounded)", sp.Coarsen)
-		}
-	} else {
-		sp.Coarsen, sp.CoarsenRatio = "", 0 // irrelevant: don't fragment cache slots
-	}
-	// The numeric knobs share core's validation, so a bad value produces
-	// the same error through HTTP, the CLI and direct core callers.
-	if err := (core.Options{
-		Strategy:     spec.strategy,
-		Parallelism:  sp.Parallelism,
-		Quality:      sp.Quality,
-		SampleBudget: sp.SampleBudget,
-		Coarsen:      sp.coarsenOptions(),
-	}).Validate(); err != nil {
+	// Parallelism shares core's validation, so a bad value produces the
+	// same error through HTTP, the CLI and direct core callers.
+	if err := (core.Options{Strategy: spec.strategy, Parallelism: sp.Parallelism}).Validate(); err != nil {
 		return algoSpec{}, err
 	}
 	if sp.Parallelism > maxParallelism {
@@ -213,7 +156,7 @@ func (sp *PlaceSpec) newEvaluator(m *flow.Model) flow.Evaluator {
 // requests differing only in parallelism dedup onto one job.
 func (sp *PlaceSpec) cacheKey(graphID string, version int64, sources []int) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s|v%d|%s|%d|%s|%d|q%g|b%d|c%s|r%g|", graphID, version, sp.Algorithm, sp.K, sp.Engine, sp.Seed, sp.Quality, sp.SampleBudget, sp.Coarsen, sp.CoarsenRatio)
+	fmt.Fprintf(&b, "%s|v%d|%s|%d|%s|%d|", graphID, version, sp.Algorithm, sp.K, sp.Engine, sp.Seed)
 	for _, s := range sources {
 		fmt.Fprintf(&b, "%d,", s)
 	}
@@ -237,42 +180,18 @@ func (sp *PlaceSpec) execute(ctx context.Context, spec algoSpec, m *flow.Model, 
 		defer metrics.PlaceWorkersBusy.Add(-int64(max(sp.Parallelism, 1)))
 	}
 	pres, err := core.Place(ctx, ev, sp.K, core.Options{
-		Strategy:     spec.strategy,
-		Parallelism:  sp.Parallelism,
-		Seed:         sp.Seed,
-		Quality:      sp.Quality,
-		SampleBudget: sp.SampleBudget,
-		SampleSeed:   sp.Seed,
-		Coarsen:      sp.coarsenOptions(),
-		Trace:        tr,
-		Tenant:       tc.Name(),
-		Account:      tc,
+		Strategy:    spec.strategy,
+		Parallelism: sp.Parallelism,
+		Seed:        sp.Seed,
+		Trace:       tr,
+		Tenant:      tc.Name(),
+		Account:     tc,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if cs := pres.CoarsenStats; cs != nil {
-		contracted := int64(cs.NodesBefore - cs.NodesAfter)
-		if metrics != nil {
-			metrics.CoarsenPlacements.Add(1)
-			metrics.CoarsenNodesContracted.Add(contracted)
-			metrics.CoarsenRounds.Add(int64(cs.Rounds))
-			if cs.LosslessOnly {
-				metrics.CoarsenLossless.Add(1)
-			}
-		}
-		tc.AddCoarsen(contracted)
-	}
 	if metrics != nil {
 		metrics.OracleEvaluations.Add(int64(pres.Stats.GainEvaluations))
-		// mlcelf is approx-capable but only estimate-driven when the
-		// quality knobs are set; exact quotient solves stay out of the
-		// Approx* series.
-		if spec.approx && pres.Stats.SampledEvaluations > 0 {
-			metrics.ApproxPlacements.Add(1)
-			metrics.ApproxSampledEvaluations.Add(int64(pres.Stats.SampledEvaluations))
-			metrics.ApproxExactRechecks.Add(int64(pres.Stats.GainEvaluations))
-		}
 	}
 	filters := pres.Filters
 	if filters == nil {
@@ -301,14 +220,6 @@ func (sp *PlaceSpec) execute(ctx context.Context, spec algoSpec, m *flow.Model, 
 	if pres.Passes != (core.PassStats{}) {
 		ps := pres.Passes
 		res.Passes = &ps
-	}
-	if pres.PhiCI != nil {
-		ci := *pres.PhiCI
-		res.PhiCI = &ci
-	}
-	if pres.CoarsenStats != nil {
-		cs := *pres.CoarsenStats
-		res.Coarsen = &cs
 	}
 	if g := m.Graph(); g.HasLabels() {
 		res.Labels = make([]string, len(filters))

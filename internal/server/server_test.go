@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -198,19 +199,25 @@ func TestUploadIDBounds(t *testing.T) {
 	}
 }
 
+// diamondChainEdges is a chain of d diamonds: 3d+1 nodes and 2^d
+// source-to-sink paths, so d = 1100 overflows float64.
+func diamondChainEdges(d int) string {
+	var sb strings.Builder
+	for i := 0; i < d; i++ {
+		v := 3 * i
+		fmt.Fprintf(&sb, "%d %d\n%d %d\n%d %d\n%d %d\n", v, v+1, v, v+2, v+1, v+3, v+2, v+3)
+	}
+	return sb.String()
+}
+
 // TestUnencodableResultIs500 evaluates a chain of 1100 diamonds, whose
 // 2^1100 source-to-sink paths overflow float64: the result cannot be
 // encoded as JSON, and the answer must be a JSON 500 that carries the
 // request id, never a 200 with an empty body.
 func TestUnencodableResultIs500(t *testing.T) {
 	ts := newTestServer(t, server.Config{})
-	var sb strings.Builder
-	for i := 0; i < 1100; i++ {
-		v := 3 * i
-		fmt.Fprintf(&sb, "%d %d\n%d %d\n%d %d\n%d %d\n", v, v+1, v, v+2, v+1, v+3, v+2, v+3)
-	}
 	var info server.GraphInfo
-	if code := doJSON(t, "POST", ts.URL+"/v1/graphs", server.GraphSpec{Edges: sb.String()}, &info); code != http.StatusCreated {
+	if code := doJSON(t, "POST", ts.URL+"/v1/graphs", server.GraphSpec{Edges: diamondChainEdges(1100)}, &info); code != http.StatusCreated {
 		t.Fatalf("upload: status %d", code)
 	}
 	req, err := http.NewRequest("GET", ts.URL+"/v1/graphs/"+info.ID+"/evaluate?filters=3", nil)
@@ -235,10 +242,74 @@ func TestUnencodableResultIs500(t *testing.T) {
 	}
 }
 
+// TestListJobsIsolatesUnencodableJob: one gall job on the overflowing
+// diamond-1100 chain must not break GET /v1/jobs for everyone. The listing
+// is a 200 carrying both jobs; the bad one has its result dropped and an
+// error in its place, the good one keeps its result, and the bad job's own
+// GET stays the JSON 500.
+func TestListJobsIsolatesUnencodableJob(t *testing.T) {
+	ts := newTestServer(t, server.Config{})
+	var big server.GraphInfo
+	if code := doJSON(t, "POST", ts.URL+"/v1/graphs", server.GraphSpec{Edges: diamondChainEdges(1100)}, &big); code != http.StatusCreated {
+		t.Fatalf("upload: status %d", code)
+	}
+	small := uploadDiamond(t, ts.URL)
+
+	var bad, good server.JobInfo
+	for _, sub := range []struct {
+		graph string
+		job   *server.JobInfo
+	}{{big.ID, &bad}, {small.ID, &good}} {
+		if code := doJSON(t, "POST", ts.URL+"/v1/graphs/"+sub.graph+"/place",
+			server.PlaceSpec{Algorithm: "gall", K: 1}, sub.job); code != http.StatusAccepted {
+			t.Fatalf("place on %s: status %d", sub.graph, code)
+		}
+	}
+	// Poll the good job (its GET encodes); the bad one's GET is a 500, so
+	// wait on it through the listing instead.
+	waitJob(t, ts.URL, good.ID)
+	var list struct {
+		Jobs []server.JobInfo `json:"jobs"`
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if code := doJSON(t, "GET", ts.URL+"/v1/jobs", nil, &list); code != http.StatusOK {
+			t.Fatalf("GET /v1/jobs: status %d, want 200", code)
+		}
+		done := len(list.Jobs) == 2
+		for _, j := range list.Jobs {
+			done = done && j.State == server.JobDone
+		}
+		if done {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("jobs never finished: %+v", list.Jobs)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	byID := map[string]server.JobInfo{}
+	for _, j := range list.Jobs {
+		byID[j.ID] = j
+	}
+	if j := byID[bad.ID]; j.Result != nil || !strings.Contains(j.Error, "not representable") {
+		t.Errorf("bad job listed as %+v; want no result and a not-representable error", j)
+	}
+	if j := byID[good.ID]; j.Result == nil || j.Error != "" || fmt.Sprint(j.Result.Filters) != "[3]" || j.Result.F != 1 {
+		t.Errorf("good job listed as %+v; want its result intact (filters [3], F 1)", j)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if code := doJSON(t, "GET", ts.URL+"/v1/jobs/"+bad.ID, nil, &e); code != http.StatusInternalServerError || e.Error == "" {
+		t.Errorf("GET bad job: status %d, error %q; want a JSON 500", code, e.Error)
+	}
+}
+
 func TestSyncPlacementHeuristics(t *testing.T) {
 	ts := newTestServer(t, server.Config{})
 	info := uploadDiamond(t, ts.URL)
-	for _, algo := range []string{"gmax", "g1", "gl", "glfast", "randk", "randi", "randw", "prop1"} {
+	for _, algo := range []string{"gmax", "g1", "gl", "randk", "randi", "randw", "prop1"} {
 		t.Run(algo, func(t *testing.T) {
 			var res server.PlaceResult
 			code := doJSON(t, "POST", ts.URL+"/v1/graphs/"+info.ID+"/place",
@@ -297,11 +368,35 @@ func TestPlaceErrors(t *testing.T) {
 			}
 		})
 	}
+
+	// Removed algorithms fail loudly, pointing at the fast exact path.
+	for _, algo := range []string{"approx", "mlcelf", "glfast"} {
+		t.Run("removed algorithm "+algo, func(t *testing.T) {
+			var e struct {
+				Error string `json:"error"`
+			}
+			code := doJSON(t, "POST", place, server.PlaceSpec{Algorithm: algo, K: 1}, &e)
+			if code != http.StatusBadRequest || !strings.Contains(e.Error, "gall") {
+				t.Errorf("status %d, error %q; want 400 naming gall", code, e.Error)
+			}
+		})
+	}
+	// Removed spec fields are unknown to the strict decoder.
+	for field, value := range map[string]any{
+		"quality": 0.1, "sample_budget": 8, "coarsen": "lossless", "coarsen_ratio": 0.5,
+	} {
+		t.Run("removed field "+field, func(t *testing.T) {
+			body := map[string]any{"algorithm": "gall", "k": 1, field: value}
+			if code := doJSON(t, "POST", place, body, nil); code != http.StatusBadRequest {
+				t.Errorf("status %d, want 400", code)
+			}
+		})
+	}
 }
 
 // TestAsyncGreedyMatchesLibraryAndCaches is the end-to-end acceptance
 // path: upload → async greedy job → polled result equals a direct
-// fp.GreedyAll + fp.FR call, and an identical second request is served
+// fp.Place + fp.FR call, and an identical second request is served
 // from the result cache (observed via /metrics).
 func TestAsyncGreedyMatchesLibraryAndCaches(t *testing.T) {
 	ts := newTestServer(t, server.Config{})
@@ -333,7 +428,11 @@ func TestAsyncGreedyMatchesLibraryAndCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := fp.NewFloat(model)
-	filters := fp.GreedyAll(ev, 5)
+	pl, err := fp.Place(context.Background(), ev, 5, fp.PlaceOptions{Strategy: fp.StrategyGreedyAll})
+	if err != nil {
+		t.Fatal(err)
+	}
+	filters := pl.Filters
 	wantFR := fp.FR(ev, fp.MaskOf(g.N(), filters))
 
 	res := done.Result
