@@ -64,10 +64,10 @@ func main() {
 	post(base+"/v1/graphs/"+info.ID+"/place", server.PlaceSpec{
 		Algorithm: "gall", K: 10,
 	}, &again)
-	var ms server.MetricsSnapshot
+	var ms map[string]float64
 	get(base+"/metrics", &ms)
-	fmt.Printf("repeat query: cached=%v (cache hits %d, misses %d)\n",
-		again.Cached, ms.CacheHits, ms.CacheMisses)
+	fmt.Printf("repeat query: cached=%v (cache hits %.0f, misses %.0f)\n",
+		again.Cached, ms["cache_hits"], ms["cache_misses"])
 }
 
 func post(url string, body, out any) {

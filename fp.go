@@ -250,11 +250,10 @@ func ParseTraceparent(s string) (TraceContext, error) { return obs.ParseTracepar
 func NewTraceContext() TraceContext { return obs.NewTraceContext() }
 
 // TenantCounters accumulates one tenant's resource usage — oracle
-// evaluations, topological passes, queue waits, cache traffic. Pass one
-// via PlaceOptions.Account to attribute a placement's cost; all methods
-// are nil-safe, so a nil *TenantCounters disables accounting. Accounting
-// never changes placement results — charges are recorded strictly after
-// the algorithm's work.
+// evaluations, topological passes, queue waits, cache traffic. Charge a
+// placement's cost from the Result Place returns
+// (AddPlacement(evals, forward, suffix)); all methods are nil-safe, so a
+// nil *TenantCounters disables accounting.
 type TenantCounters = obs.TenantCounters
 
 // TenantUsage is a point-in-time JSON-ready snapshot of one tenant's

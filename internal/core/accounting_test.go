@@ -7,15 +7,15 @@ import (
 	"testing"
 
 	"repro/internal/flow"
-	"repro/internal/obs"
 )
 
-// TestAccountingEquivalence is the determinism gate of the tenant
-// accounting layer: Place with Options.Account set must return filter
-// sets AND OracleStats bit-identical to the unaccounted run — accounting
-// observes placements, it never participates in them. Checked across
-// strategies and parallelism levels, and the counters must end up charged
-// with exactly the work the result reports.
+// TestAccountingEquivalence is the determinism gate of tenant
+// attribution: core's one attribution input is Options.Tenant, which tags
+// the scheduler batches a placement submits (the server charges the rest
+// from the returned Result). A tagged Place must return filter sets AND
+// OracleStats bit-identical to the untagged run — attribution observes
+// placements, it never participates in them. Checked across strategies
+// and parallelism levels.
 func TestAccountingEquivalence(t *testing.T) {
 	m := placeTestModel(t, 80, 0.05, 42)
 	strategies := []Strategy{StrategyGreedyAll, StrategyCELF, StrategyNaive, StrategyGreedyMax}
@@ -25,46 +25,31 @@ func TestAccountingEquivalence(t *testing.T) {
 
 			want, err := Place(context.Background(), flow.NewFloat(m), 6, base)
 			if err != nil {
-				t.Fatalf("%s P=%d unaccounted: %v", strat, procs, err)
+				t.Fatalf("%s P=%d untagged: %v", strat, procs, err)
 			}
 
-			acct := obs.NewAccountant(0)
 			opts := base
 			opts.Tenant = "acme"
-			opts.Account = acct.Tenant("acme")
 			got, err := Place(context.Background(), flow.NewFloat(m), 6, opts)
 			if err != nil {
-				t.Fatalf("%s P=%d accounted: %v", strat, procs, err)
+				t.Fatalf("%s P=%d tagged: %v", strat, procs, err)
 			}
 
 			if !reflect.DeepEqual(got.Filters, want.Filters) {
-				t.Errorf("%s P=%d: accounted filters %v, unaccounted %v",
+				t.Errorf("%s P=%d: tagged filters %v, untagged %v",
 					strat, procs, got.Filters, want.Filters)
 			}
 			if got.Stats != want.Stats {
-				t.Errorf("%s P=%d: accounted stats %+v, unaccounted %+v",
+				t.Errorf("%s P=%d: tagged stats %+v, untagged %+v",
 					strat, procs, got.Stats, want.Stats)
 			}
 
-			u := acct.Tenant("acme").Usage()
-			if u.Placements != 1 {
-				t.Errorf("%s P=%d: placements charged = %d, want 1", strat, procs, u.Placements)
-			}
-			if u.OracleEvaluations != int64(got.Stats.GainEvaluations) {
-				t.Errorf("%s P=%d: oracle evals charged = %d, result reports %d",
-					strat, procs, u.OracleEvaluations, int64(got.Stats.GainEvaluations))
-			}
-			if wantPasses := got.Passes.Forward; u.ForwardPasses != wantPasses {
-				t.Errorf("%s P=%d: forward passes charged = %d, result reports %d",
-					strat, procs, u.ForwardPasses, wantPasses)
-			}
 		}
 	}
 }
 
-// TestAccountingBatchEquivalence extends the gate to PlaceBatch: gang
-// results with accounting on must match unaccounted solo runs, and the
-// tenant is charged once per graph.
+// TestAccountingBatchEquivalence extends the gate to PlaceBatch: a
+// tenant-tagged gang must match untagged solo runs graph for graph.
 func TestAccountingBatchEquivalence(t *testing.T) {
 	models := batchTestModels(t, 6)
 	base := Options{Strategy: StrategyCELF, Parallelism: 2, Seed: 3}
@@ -78,41 +63,30 @@ func TestAccountingBatchEquivalence(t *testing.T) {
 		}
 	}
 
-	acct := obs.NewAccountant(0)
 	opts := base
 	opts.Tenant = "fleet"
-	opts.Account = acct.Tenant("fleet")
 	evs := make([]flow.Evaluator, len(models))
 	for i, m := range models {
 		evs[i] = flow.NewFloat(m)
 	}
 	got, err := PlaceBatch(context.Background(), evs, 5, opts)
 	if err != nil {
-		t.Fatalf("accounted batch: %v", err)
+		t.Fatalf("tagged batch: %v", err)
 	}
-	var totalEvals int64
 	for i := range models {
 		if !reflect.DeepEqual(got[i].Filters, want[i].Filters) {
-			t.Errorf("graph %d: accounted batch filters %v, unaccounted solo %v",
+			t.Errorf("graph %d: tagged batch filters %v, untagged solo %v",
 				i, got[i].Filters, want[i].Filters)
 		}
 		if got[i].Stats != want[i].Stats {
-			t.Errorf("graph %d: accounted batch stats %+v, unaccounted solo %+v",
+			t.Errorf("graph %d: tagged batch stats %+v, untagged solo %+v",
 				i, got[i].Stats, want[i].Stats)
 		}
-		totalEvals += int64(got[i].Stats.GainEvaluations)
-	}
-	u := acct.Tenant("fleet").Usage()
-	if u.Placements != int64(len(models)) {
-		t.Errorf("placements charged = %d, want %d", u.Placements, len(models))
-	}
-	if u.OracleEvaluations != totalEvals {
-		t.Errorf("oracle evals charged = %d, results report %d", u.OracleEvaluations, totalEvals)
 	}
 }
 
-// TestAccountingNilIsNoop: a zero Options.Account must behave exactly as
-// before the accounting layer existed.
+// TestAccountingNilIsNoop: a tenant tag with no accountant anywhere (a
+// library caller) places exactly as an untagged run would.
 func TestAccountingNilIsNoop(t *testing.T) {
 	m := placeTestModel(t, 40, 0.08, 9)
 	res, err := Place(context.Background(), flow.NewFloat(m), 3,

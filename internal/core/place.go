@@ -87,12 +87,6 @@ type Options struct {
 	// tenant. Purely observational: tags never affect scheduling order or
 	// results. Empty leaves batches untagged.
 	Tenant string
-	// Account, when non-nil, receives this placement's total oracle
-	// evaluations and topological pass counts when Place returns (on
-	// success, error and cancellation alike — the work was done either
-	// way). Accounting happens strictly after the algorithm finishes, so
-	// placements are bit-identical with accounting on or off.
-	Account *obs.TenantCounters
 }
 
 // Validate checks every option field against its documented domain. It is
@@ -211,7 +205,6 @@ func Place(ctx context.Context, ev flow.Evaluator, k int, opts Options) (Result,
 		f, s := passCounter.Passes()
 		res.Passes = PassStats{Forward: f - passF0, Suffix: s - passS0}
 	}
-	opts.Account.AddPlacement(int64(res.Stats.GainEvaluations), res.Passes.Forward, res.Passes.Suffix)
 	if err != nil {
 		res.Filters = nil // partial placements are not usable results
 		return res, err

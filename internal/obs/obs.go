@@ -21,8 +21,12 @@
 //     thousand greedy rounds collapse into one timeline entry instead of
 //     a thousand; GET /v1/jobs/{id} serves the snapshot as the job
 //     timeline.
-//   - Registry: named counters, gauges and histograms with a
-//     WritePrometheus exposition method.
+//   - Registry: the one ordered list of metric families, each declared
+//     once (key, help, kind, label); WritePrometheus renders the text
+//     exposition and Values the flat key → value view behind JSON
+//     /metrics and the stats history.
+//   - Accountant / TenantCounters: capped per-tenant cost accounting,
+//     declared by TenantUsage's fields and exposed as labeled families.
 //   - LintPrometheus: a strict-enough validator for the text exposition
 //     format, used by tests and the CI metrics-lint step.
 package obs

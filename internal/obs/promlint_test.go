@@ -10,13 +10,13 @@ import (
 // TestRegistryExpositionPassesLint is the round-trip check: everything
 // the registry can emit must satisfy the linter.
 func TestRegistryExpositionPassesLint(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("fpd_test_total", "a counter", func() float64 { return 42 })
-	r.Gauge("fpd_test_depth", "a gauge", func() float64 { return -3.5 })
-	h := r.Histogram("fpd_test_seconds", "a histogram", nil)
+	r := NewRegistry("fpd_")
+	r.Scalar(Desc{"test_total", "a counter", "counter"}, func() float64 { return 42 })
+	r.Scalar(Desc{"test_depth", "a gauge", "gauge"}, func() float64 { return -3.5 })
+	h := r.Histogram("test_seconds", "a histogram", nil)
 	h.Observe(3 * time.Millisecond)
 	h.Observe(2 * time.Second)
-	v := r.HistogramVec("fpd_test_stage_seconds", "a labeled histogram", "stage", []float64{0.01, 1})
+	v := r.HistogramVec("test_stage_seconds", "a labeled histogram", "stage", []float64{0.01, 1})
 	v.With("forward").Observe(time.Millisecond)
 	v.With(`wei"rd\value`).Observe(time.Minute)
 
@@ -91,13 +91,45 @@ func TestLintAcceptsSpecialValues(t *testing.T) {
 	}
 }
 
+// TestRegistryKindConflictPanics: a name is declared once — a second
+// declaration panics, with the same kind or another.
 func TestRegistryKindConflictPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("fpd_x", "", func() float64 { return 0 })
-	defer func() {
-		if recover() == nil {
-			t.Error("kind conflict did not panic")
+	for _, kind := range []string{"counter", "gauge"} {
+		r := NewRegistry("")
+		r.Scalar(Desc{"fpd_x", "", "counter"}, func() float64 { return 0 })
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("second declaration as %s did not panic", kind)
+				}
+			}()
+			r.Scalar(Desc{"fpd_x", "", kind}, func() float64 { return 0 })
+		}()
+	}
+}
+
+// TestRegistryValues: the flat view holds every unlabeled counter and
+// gauge under its key (no prefix), and with quantiles also the
+// p50/p90/p99 of every unlabeled histogram; labeled families stay out.
+func TestRegistryValues(t *testing.T) {
+	r := NewRegistry("fpd_")
+	r.Scalar(Desc{"hits", "", "counter"}, func() float64 { return 3 })
+	r.Scalar(Desc{"depth", "", "gauge"}, func() float64 { return 1.5 })
+	r.Histogram("run_seconds", "", nil).Observe(time.Second)
+	r.HistogramVec("stage_seconds", "", "stage", nil).With("x").Observe(time.Second)
+	r.Table("tenant", []Desc{{"tenant_hits_total", "", "counter"}}, func() []Row { return []Row{{"a", []float64{1}}} })
+	r.Info("build_info", "", map[string]string{"version": "dev"})
+	flat := r.Values(false)
+	if len(flat) != 2 || flat["hits"] != 3 || flat["depth"] != 1.5 {
+		t.Errorf("Values(false) = %v, want hits and depth only", flat)
+	}
+	withQ := r.Values(true)
+	for _, k := range []string{"hits", "depth", "run_seconds_p50", "run_seconds_p90", "run_seconds_p99"} {
+		if _, ok := withQ[k]; !ok {
+			t.Errorf("Values(true) missing %q: %v", k, withQ)
 		}
-	}()
-	r.Gauge("fpd_x", "", func() float64 { return 0 })
+	}
+	if len(withQ) != 5 {
+		t.Errorf("Values(true) = %v, want 5 keys", withQ)
+	}
 }

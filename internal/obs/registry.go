@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,112 +15,106 @@ import (
 // metricNameRE is the Prometheus metric/label name grammar.
 var metricNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
-// Registry holds named metrics for one exposition endpoint. Counters and
-// gauges are callback-based (the value is sampled at scrape time, so the
-// owner keeps its own atomic state); histograms are owned by the
-// registry's callers and scraped via their snapshots. Registration is
-// idempotent by name and panics on an invalid name or a kind conflict —
-// both are programmer errors a test hits immediately.
+// Desc declares one counter or gauge family. Key names it in the flat view
+// (JSON /metrics, stats history); the Prometheus name is the registry's
+// prefix plus Key. Kind is "counter" or "gauge".
+type Desc struct {
+	Key, Help, Kind string
+}
+
+// Row is one label value's samples of a Table, one value per Desc in
+// declaration order.
+type Row struct {
+	Label  string
+	Values []float64
+}
+
+// Registry is the one list of metric families behind an exposition
+// endpoint, kept in name order. Each family is declared once, and both
+// views derive from that declaration: WritePrometheus renders the text
+// exposition and Values reads the flat key → value map. Counter and gauge
+// values are read at scrape time, so owners keep their own atomics;
+// histograms are owned by the registry. Declaring a name twice or with an
+// invalid name panics — a programmer error a test hits immediately.
 type Registry struct {
-	mu       sync.Mutex
-	kinds    map[string]string // name → counter|gauge|histogram
-	help     map[string]string
-	counters map[string]func() float64
-	gauges   map[string]func() float64
-	families map[string]labeledFamily
-	infos    map[string]string // name → rendered constant-label selector
-	hists    map[string]*Histogram
-	vecs     map[string]*HistogramVec
+	prefix string
+	mu     sync.Mutex
+	fams   []*family
 }
 
-// LabeledValue is one sample of a labeled metric family: the value of
-// the family's single label plus the sample value.
-type LabeledValue struct {
-	Label string
-	Value float64
+// family is one declared metric family. Exactly one of read, tab, info,
+// hist and vec is set.
+type family struct {
+	Desc
+	name string
+	read func() float64 // unlabeled counter or gauge
+	tab  *table         // labeled counter or gauge: column col of tab
+	col  int
+	info string // constant-label selector of an always-1 info gauge
+	hist *Histogram
+	vec  *HistogramVec
 }
 
-// labeledFamily is a callback-based counter or gauge family partitioned
-// by one label; fn is sampled at scrape time and may return samples in
-// any order (exposition sorts them).
-type labeledFamily struct {
+// table is a group of labeled families sampled together: rows is called
+// once per scrape for all of them.
+type table struct {
 	label string
-	fn    func() []LabeledValue
+	rows  func() []Row
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		kinds:    make(map[string]string),
-		help:     make(map[string]string),
-		counters: make(map[string]func() float64),
-		gauges:   make(map[string]func() float64),
-		families: make(map[string]labeledFamily),
-		hists:    make(map[string]*Histogram),
-		vecs:     make(map[string]*HistogramVec),
-	}
+// NewRegistry returns an empty registry whose Prometheus names are prefix
+// followed by each family's key.
+func NewRegistry(prefix string) *Registry {
+	return &Registry{prefix: prefix}
 }
 
-func (r *Registry) register(name, help, kind string) {
-	if !metricNameRE.MatchString(name) {
-		panic(fmt.Sprintf("obs: invalid metric name %q", name))
+func (r *Registry) add(f *family) {
+	f.name = r.prefix + f.Key
+	if !metricNameRE.MatchString(f.name) {
+		panic(fmt.Sprintf("obs: invalid metric name %q", f.name))
 	}
-	if k, ok := r.kinds[name]; ok && k != kind {
-		panic(fmt.Sprintf("obs: metric %q re-registered as %s (was %s)", name, kind, k))
+	if f.Kind != "counter" && f.Kind != "gauge" && f.Kind != "histogram" {
+		panic(fmt.Sprintf("obs: metric %q has unknown kind %q", f.name, f.Kind))
 	}
-	r.kinds[name] = kind
-	r.help[name] = help
-}
-
-// Counter registers a monotonic counter sampled from fn at scrape time.
-func (r *Registry) Counter(name, help string, fn func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.register(name, help, "counter")
-	r.counters[name] = fn
+	i, found := slices.BinarySearchFunc(r.fams, f.name, func(g *family, name string) int { return strings.Compare(g.name, name) })
+	if found {
+		panic(fmt.Sprintf("obs: metric %q declared twice", f.name))
+	}
+	// Copy on write: a scrape iterating the old slice is never disturbed.
+	r.fams = slices.Insert(slices.Clip(r.fams), i, f)
 }
 
-// Gauge registers a gauge sampled from fn at scrape time.
-func (r *Registry) Gauge(name, help string, fn func() float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.register(name, help, "gauge")
-	r.gauges[name] = fn
-}
-
-// CounterVec registers a counter family partitioned by one label,
-// sampled from fn at scrape time. fn returns one sample per label value
-// (the per-tenant accounting series use this: the accountant snapshot is
-// taken once per scrape, not per observation).
-func (r *Registry) CounterVec(name, help, label string, fn func() []LabeledValue) {
-	r.registerFamily(name, help, label, "counter", fn)
-}
-
-// GaugeVec registers a gauge family partitioned by one label, sampled
-// from fn at scrape time.
-func (r *Registry) GaugeVec(name, help, label string, fn func() []LabeledValue) {
-	r.registerFamily(name, help, label, "gauge", fn)
-}
-
-func (r *Registry) registerFamily(name, help, label, kind string, fn func() []LabeledValue) {
+func checkLabel(label string) {
 	if !metricNameRE.MatchString(label) {
 		panic(fmt.Sprintf("obs: invalid label name %q", label))
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.register(name, help, kind)
-	r.families[name] = labeledFamily{label: label, fn: fn}
 }
 
-// Info registers an always-1 gauge with constant labels — the
-// build-info idiom (fpd_build_info{version="...",go_version="..."} 1).
-// Label values are fixed at registration.
-func (r *Registry) Info(name, help string, labels map[string]string) {
+// Scalar declares an unlabeled counter or gauge read from read at scrape
+// time; it is the one family kind that appears in Values.
+func (r *Registry) Scalar(d Desc, read func() float64) {
+	r.add(&family{Desc: d, read: read})
+}
+
+// Table declares one labeled family per Desc, all partitioned by label and
+// sampled together: rows is called once per scrape and returns one Row per
+// label value, in any order (the exposition sorts them).
+func (r *Registry) Table(label string, descs []Desc, rows func() []Row) {
+	checkLabel(label)
+	tab := &table{label: label, rows: rows}
+	for i, d := range descs {
+		r.add(&family{Desc: d, tab: tab, col: i})
+	}
+}
+
+// Info declares an always-1 gauge with constant labels — the build-info
+// idiom (fpd_build_info{version="...",go_version="..."} 1).
+func (r *Registry) Info(key, help string, labels map[string]string) {
 	keys := make([]string, 0, len(labels))
 	for k := range labels {
-		if !metricNameRE.MatchString(k) {
-			panic(fmt.Sprintf("obs: invalid label name %q", k))
-		}
+		checkLabel(k)
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
@@ -126,168 +122,110 @@ func (r *Registry) Info(name, help string, labels map[string]string) {
 	for i, k := range keys {
 		parts[i] = fmt.Sprintf("%s=%q", k, labels[k])
 	}
-	sel := strings.Join(parts, ",")
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.register(name, help, "gauge")
-	r.infoSels(name, sel)
+	r.add(&family{Desc: Desc{key, help, "gauge"}, info: strings.Join(parts, ",")})
 }
 
-// infoSels stores the rendered constant-label selector for an info
-// gauge. Kept as a tiny map to avoid another struct field per metric.
-func (r *Registry) infoSels(name, sel string) {
-	if r.infos == nil {
-		r.infos = make(map[string]string)
-	}
-	r.infos[name] = sel
-}
-
-// Histogram registers (or returns the existing) named histogram. nil
-// bounds use DefBuckets.
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.hists[name]; ok {
-		return h
-	}
-	r.register(name, help, "histogram")
+// Histogram declares a histogram; nil bounds use DefBuckets.
+func (r *Registry) Histogram(key, help string, bounds []float64) *Histogram {
 	h := NewHistogram(bounds)
-	r.hists[name] = h
+	r.add(&family{Desc: Desc{key, help, "histogram"}, hist: h})
 	return h
 }
 
-// HistogramVec registers (or returns the existing) named histogram
-// family partitioned by one label. nil bounds use DefBuckets.
-func (r *Registry) HistogramVec(name, help, label string, bounds []float64) *HistogramVec {
-	if !metricNameRE.MatchString(label) {
-		panic(fmt.Sprintf("obs: invalid label name %q", label))
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v, ok := r.vecs[name]; ok {
-		return v
-	}
-	r.register(name, help, "histogram")
+// HistogramVec declares a histogram family partitioned by one label; nil
+// bounds use DefBuckets.
+func (r *Registry) HistogramVec(key, help, label string, bounds []float64) *HistogramVec {
+	checkLabel(label)
 	v := NewHistogramVec(label, bounds)
-	r.vecs[name] = v
+	r.add(&family{Desc: Desc{key, help, "histogram"}, vec: v})
 	return v
 }
 
-// WritePrometheus writes every registered metric in Prometheus text
-// exposition format (version 0.0.4), sorted by metric name so scrapes
-// are diffable.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+func (r *Registry) families() []*family {
 	r.mu.Lock()
-	names := make([]string, 0, len(r.kinds))
-	for name := range r.kinds {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	// Copy the callback/handle maps so sampling runs outside the lock.
-	counters := make(map[string]func() float64, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]func() float64, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	families := make(map[string]labeledFamily, len(r.families))
-	for k, v := range r.families {
-		families[k] = v
-	}
-	infos := make(map[string]string, len(r.infos))
-	for k, v := range r.infos {
-		infos[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	vecs := make(map[string]*HistogramVec, len(r.vecs))
-	for k, v := range r.vecs {
-		vecs[k] = v
-	}
-	kinds, help := r.kinds, r.help
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	return r.fams
+}
 
-	for _, name := range names {
-		if err := writeHeader(w, name, help[name], kinds[name]); err != nil {
-			return err
-		}
-		var err error
+// historyQuantiles are the quantiles Values adds per unlabeled histogram
+// when asked for them (job_run_seconds_p50 and friends).
+var historyQuantiles = []struct {
+	suffix string
+	q      float64
+}{{"_p50", 0.50}, {"_p90", 0.90}, {"_p99", 0.99}}
+
+// Values reads the flat view: every unlabeled counter and gauge under its
+// key. withQuantiles adds <key>_p50/_p90/_p99 for every unlabeled
+// histogram — the stats-history sample shape.
+func (r *Registry) Values(withQuantiles bool) map[string]float64 {
+	fams := r.families()
+	vals := make(map[string]float64, len(fams)+3*len(historyQuantiles))
+	for _, f := range fams {
 		switch {
-		case counters[name] != nil:
-			err = writeSample(w, name, "", counters[name]())
-		case gauges[name] != nil:
-			err = writeSample(w, name, "", gauges[name]())
-		case families[name].fn != nil:
-			fam := families[name]
-			samples := fam.fn()
-			sort.Slice(samples, func(i, j int) bool { return samples[i].Label < samples[j].Label })
-			for _, s := range samples {
-				sel := fmt.Sprintf("%s=%q", fam.label, s.Label)
-				if err = writeSample(w, name, sel, s.Value); err != nil {
-					break
-				}
+		case f.read != nil:
+			vals[f.Key] = f.read()
+		case f.hist != nil && withQuantiles:
+			hs := f.hist.Snapshot()
+			for _, hq := range historyQuantiles {
+				vals[f.Key+hq.suffix] = hs.Quantile(hq.q)
 			}
-		case infos[name] != "":
-			err = writeSample(w, name, infos[name], 1)
-		case hists[name] != nil:
-			err = writeHistogram(w, name, "", hists[name].Snapshot())
-		case vecs[name] != nil:
-			v := vecs[name]
-			for _, ls := range v.snapshotAll() {
+		}
+	}
+	return vals
+}
+
+// WritePrometheus writes every family in Prometheus text exposition format
+// (version 0.0.4), sorted by name so scrapes are diffable.
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	var b bytes.Buffer
+	rows := make(map[*table][]Row)
+	for _, f := range r.families() {
+		if f.Help != "" {
+			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.Help))
+		}
+		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.Kind)
+		switch {
+		case f.read != nil:
+			writeSample(&b, f.name, "", f.read())
+		case f.tab != nil:
+			rs, ok := rows[f.tab]
+			if !ok {
+				rs = f.tab.rows()
+				sort.Slice(rs, func(i, j int) bool { return rs[i].Label < rs[j].Label })
+				rows[f.tab] = rs
+			}
+			for _, row := range rs {
+				writeSample(&b, f.name, fmt.Sprintf("%s=%q", f.tab.label, row.Label), row.Values[f.col])
+			}
+		case f.info != "":
+			writeSample(&b, f.name, f.info, 1)
+		case f.hist != nil:
+			writeHistogram(&b, f.name, "", f.hist.Snapshot())
+		case f.vec != nil:
+			for _, ls := range f.vec.snapshotAll() {
 				// %q escaping (backslash, quote, newline) matches the
 				// exposition format's label escaping for the printable
 				// values used here (route patterns, stage names).
-				sel := fmt.Sprintf("%s=%q", v.Label(), ls.value)
-				if err = writeHistogram(w, name, sel, ls.snap); err != nil {
-					break
-				}
+				writeHistogram(&b, f.name, fmt.Sprintf("%s=%q", f.vec.Label(), ls.value), ls.snap)
 			}
 		}
-		if err != nil {
-			return err
-		}
 	}
-	return nil
-}
-
-// WriteHeader writes the # HELP / # TYPE preamble for one metric —
-// exported for the server's hand-rolled counter exposition, which shares
-// this writer so the formats cannot drift.
-func WriteHeader(w io.Writer, name, help, kind string) error {
-	return writeHeader(w, name, help, kind)
-}
-
-// WriteSample writes one "name value" (or "name{labels} value") line.
-func WriteSample(w io.Writer, name, labels string, value float64) error {
-	return writeSample(w, name, labels, value)
-}
-
-func writeHeader(w io.Writer, name, help, kind string) error {
-	if help != "" {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, escapeHelp(help)); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, kind)
+	_, err := w.Write(b.Bytes())
 	return err
 }
 
-func writeSample(w io.Writer, name, labels string, value float64) error {
+// writeSample writes one "name value" (or "name{labels} value") line.
+func writeSample(b *bytes.Buffer, name, labels string, value float64) {
 	if labels != "" {
 		labels = "{" + labels + "}"
 	}
-	_, err := fmt.Fprintf(w, "%s%s %s\n", name, labels, formatValue(value))
-	return err
+	fmt.Fprintf(b, "%s%s %s\n", name, labels, formatValue(value))
 }
 
 // writeHistogram writes the cumulative _bucket series plus _sum and
 // _count, with sel ("label=\"value\"") merged into each bucket's le
 // selector.
-func writeHistogram(w io.Writer, name, sel string, s HistSnapshot) error {
+func writeHistogram(b *bytes.Buffer, name, sel string, s HistSnapshot) {
 	var cum uint64
 	for i, c := range s.Counts {
 		cum += c
@@ -299,19 +237,14 @@ func writeHistogram(w io.Writer, name, sel string, s HistSnapshot) error {
 		if sel != "" {
 			labels = sel + "," + labels
 		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{%s} %d\n", name, labels, cum); err != nil {
-			return err
-		}
+		fmt.Fprintf(b, "%s_bucket{%s} %d\n", name, labels, cum)
 	}
 	suffix := ""
 	if sel != "" {
 		suffix = "{" + sel + "}"
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, suffix, formatValue(s.Sum)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, suffix, s.Count)
-	return err
+	fmt.Fprintf(b, "%s_sum%s %s\n", name, suffix, formatValue(s.Sum))
+	fmt.Fprintf(b, "%s_count%s %d\n", name, suffix, s.Count)
 }
 
 // formatValue renders a float the way Prometheus clients do: shortest

@@ -9,10 +9,10 @@ import (
 )
 
 func TestCounterVecExposition(t *testing.T) {
-	r := NewRegistry()
-	r.CounterVec("test_requests_total", "Requests per tenant.", "tenant", func() []LabeledValue {
+	r := NewRegistry("")
+	r.Table("tenant", []Desc{{"test_requests_total", "Requests per tenant.", "counter"}}, func() []Row {
 		// Deliberately unsorted: the writer must sort by label value.
-		return []LabeledValue{{Label: "zeta", Value: 3}, {Label: "acme", Value: 7}}
+		return []Row{{"zeta", []float64{3}}, {"acme", []float64{7}}}
 	})
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -32,7 +32,7 @@ func TestCounterVecExposition(t *testing.T) {
 }
 
 func TestInfoExposition(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry("")
 	r.Info("test_build_info", "Build metadata.", map[string]string{
 		"version": "v1.2.3", "go_version": "go1.23",
 	})
@@ -52,9 +52,9 @@ func TestInfoExposition(t *testing.T) {
 }
 
 func TestGaugeVecExposition(t *testing.T) {
-	r := NewRegistry()
-	r.GaugeVec("test_depth", "Depth per queue.", "queue", func() []LabeledValue {
-		return []LabeledValue{{Label: "deferred", Value: 2.5}}
+	r := NewRegistry("")
+	r.Table("queue", []Desc{{"test_depth", "Depth per queue.", "gauge"}}, func() []Row {
+		return []Row{{"deferred", []float64{2.5}}}
 	})
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -68,10 +68,10 @@ func TestGaugeVecExposition(t *testing.T) {
 func TestRegisterFamilyPanicsOnBadLabel(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("CounterVec accepted an invalid label name")
+			t.Error("Table accepted an invalid label name")
 		}
 	}()
-	NewRegistry().CounterVec("m_total", "m", "bad-label!", func() []LabeledValue { return nil })
+	NewRegistry("").Table("bad-label!", []Desc{{"m_total", "m", "counter"}}, func() []Row { return nil })
 }
 
 // TestConcurrentScrapeWithLabeledSeries scrapes a registry whose labeled
@@ -80,16 +80,9 @@ func TestRegisterFamilyPanicsOnBadLabel(t *testing.T) {
 // scrape-time sampling takes consistent snapshots.
 func TestConcurrentScrapeWithLabeledSeries(t *testing.T) {
 	a := NewAccountant(16)
-	r := NewRegistry()
-	r.CounterVec("test_tenant_requests_total", "Requests per tenant.", "tenant", func() []LabeledValue {
-		snap := a.Snapshot()
-		out := make([]LabeledValue, len(snap))
-		for i, u := range snap {
-			out[i] = LabeledValue{Label: u.Tenant, Value: float64(u.Requests)}
-		}
-		return out
-	})
-	r.Info("test_build_info", "Build metadata.", map[string]string{"version": "dev"})
+	r := NewRegistry("test_")
+	a.Register(r)
+	r.Info("build_info", "Build metadata.", map[string]string{"version": "dev"})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

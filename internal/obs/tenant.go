@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -39,36 +40,84 @@ func ValidTenant(s string) bool {
 	return true
 }
 
-// TenantCounters is one tenant's accounting sink: a fixed set of atomic
-// counters, so attribution from hot paths (scheduler workers, placement
-// completion, cache lookups) is a handful of uncontended atomic adds.
-// All methods are nil-safe — threading a nil *TenantCounters through a
-// call chain disables accounting for that call at zero cost.
+// TenantUsage is a point-in-time copy of one tenant's accumulated
+// resource accounting, as served by GET /v1/tenants/{id}/usage. It is also
+// the one declaration of the tenant series: every field after Tenant is a
+// counter whose json key names both its usage key and the labeled
+// Prometheus counter fpd_tenant_<key>_total, and whose help tag is the
+// HELP text. Float fields are durations, accumulated in nanoseconds and
+// reported in seconds.
+type TenantUsage struct {
+	Tenant                string  `json:"tenant"`
+	Requests              int64   `json:"requests" help:"HTTP requests attributed to the tenant."`
+	JobsSubmitted         int64   `json:"jobs_submitted" help:"Async jobs submitted by the tenant."`
+	JobsCompleted         int64   `json:"jobs_completed" help:"Tenant jobs that finished successfully."`
+	JobsFailed            int64   `json:"jobs_failed" help:"Tenant jobs that finished in error."`
+	JobsCanceled          int64   `json:"jobs_canceled" help:"Tenant jobs that were canceled."`
+	Placements            int64   `json:"placements" help:"Placements executed on behalf of the tenant."`
+	OracleEvaluations     int64   `json:"oracle_evaluations" help:"Marginal-gain oracle evaluations spent for the tenant."`
+	ForwardPasses         int64   `json:"forward_passes" help:"Forward topological passes executed for the tenant."`
+	SuffixPasses          int64   `json:"suffix_passes" help:"Suffix topological passes executed for the tenant."`
+	CacheHits             int64   `json:"cache_hits" help:"Result-cache hits for the tenant's placement requests."`
+	CacheMisses           int64   `json:"cache_misses" help:"Result-cache misses for the tenant's placement requests."`
+	JobQueueWaitSeconds   float64 `json:"job_queue_wait_seconds" help:"Total time the tenant's jobs spent queued."`
+	JobRunSeconds         float64 `json:"job_run_seconds" help:"Total wall time the tenant's jobs spent running."`
+	SchedQueueWaitSeconds float64 `json:"sched_queue_wait_seconds" help:"Total scheduler queue wait of the tenant's oracle tasks."`
+	SchedTasks            int64   `json:"sched_tasks" help:"Scheduler tasks executed for the tenant."`
+	PlanSplices           int64   `json:"plan_splices" help:"Execution plans spliced incrementally for the tenant's PATCH batches."`
+	PlanRebuilds          int64   `json:"plan_rebuilds" help:"Execution plans rebuilt from scratch for the tenant's PATCH batches."`
+	PlanRepairWork        int64   `json:"plan_repair_work" help:"Abstract plan-repair cost (visits + moves + CSR rows) charged to the tenant."`
+}
+
+// Counter slots of a TenantCounters block, in TenantUsage field order
+// (after Tenant).
+const (
+	slotRequests = iota
+	slotJobsSubmitted
+	slotJobsCompleted
+	slotJobsFailed
+	slotJobsCanceled
+	slotPlacements
+	slotOracleEvals
+	slotForwardPasses
+	slotSuffixPasses
+	slotCacheHits
+	slotCacheMisses
+	slotQueueWait
+	slotRunTime
+	slotSchedWait
+	slotSchedTasks
+	slotPlanSplices
+	slotPlanRebuilds
+	slotPlanRepairWork
+	numSlots
+)
+
+// tenantDescs and tenantSeconds are the tenant declaration read once from
+// TenantUsage's tags: one Desc per slot, and whether the slot holds a
+// duration reported in seconds.
+var tenantDescs, tenantSeconds = func() ([]Desc, []bool) {
+	t := reflect.TypeOf(TenantUsage{})
+	if t.NumField()-1 != numSlots {
+		panic("obs: TenantUsage fields and TenantCounters slots disagree")
+	}
+	descs, seconds := make([]Desc, numSlots), make([]bool, numSlots)
+	for i := range descs {
+		f := t.Field(i + 1)
+		descs[i] = Desc{Key: "tenant_" + f.Tag.Get("json") + "_total", Help: f.Tag.Get("help"), Kind: "counter"}
+		seconds[i] = f.Type.Kind() == reflect.Float64
+	}
+	return descs, seconds
+}()
+
+// TenantCounters is one tenant's accounting sink: one atomic slot per
+// TenantUsage counter, so attribution from hot paths (scheduler workers,
+// placement completion, cache lookups) is a handful of uncontended atomic
+// adds. All methods are nil-safe — threading a nil *TenantCounters through
+// a call chain disables accounting for that call at zero cost.
 type TenantCounters struct {
-	name string
-
-	requests      atomic.Int64
-	jobsSubmitted atomic.Int64
-	jobsCompleted atomic.Int64
-	jobsFailed    atomic.Int64
-	jobsCanceled  atomic.Int64
-
-	placements    atomic.Int64
-	oracleEvals   atomic.Int64
-	forwardPasses atomic.Int64
-	suffixPasses  atomic.Int64
-
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-
-	queueWaitNS atomic.Int64
-	runNS       atomic.Int64
-	schedWaitNS atomic.Int64
-	schedTasks  atomic.Int64
-
-	planSplices    atomic.Int64
-	planRebuilds   atomic.Int64
-	planRepairWork atomic.Int64
+	name  string
+	slots [numSlots]atomic.Int64
 }
 
 // Name returns the tenant identifier the counters accumulate under
@@ -80,89 +129,59 @@ func (c *TenantCounters) Name() string {
 	return c.name
 }
 
-// AddRequest counts one HTTP request attributed to the tenant.
-func (c *TenantCounters) AddRequest() {
+func (c *TenantCounters) add(slot int, n int64) {
 	if c != nil {
-		c.requests.Add(1)
+		c.slots[slot].Add(n)
 	}
 }
 
+// AddRequest counts one HTTP request attributed to the tenant.
+func (c *TenantCounters) AddRequest() { c.add(slotRequests, 1) }
+
 // AddJobSubmitted counts one job accepted into the engine.
-func (c *TenantCounters) AddJobSubmitted() {
-	if c != nil {
-		c.jobsSubmitted.Add(1)
-	}
-}
+func (c *TenantCounters) AddJobSubmitted() { c.add(slotJobsSubmitted, 1) }
 
 // AddJobOutcome counts a terminal job transition by state name
 // ("done", "failed" or "canceled").
 func (c *TenantCounters) AddJobOutcome(state string) {
-	if c == nil {
-		return
-	}
 	switch state {
 	case "done":
-		c.jobsCompleted.Add(1)
+		c.add(slotJobsCompleted, 1)
 	case "failed":
-		c.jobsFailed.Add(1)
+		c.add(slotJobsFailed, 1)
 	case "canceled":
-		c.jobsCanceled.Add(1)
+		c.add(slotJobsCanceled, 1)
 	}
 }
 
-// AddPlacement attributes one completed placement's oracle evaluations
-// and topological pass counts. Called after core.Place returns — never
-// from inside the algorithm — so accounting cannot perturb placement
-// results.
+// AddPlacement attributes one placement's oracle evaluations and
+// topological pass counts. Called after core.Place returns — never from
+// inside the algorithm — so accounting cannot perturb placement results.
 func (c *TenantCounters) AddPlacement(evals, forward, suffix int64) {
-	if c == nil {
-		return
-	}
-	c.placements.Add(1)
-	c.oracleEvals.Add(evals)
-	c.forwardPasses.Add(forward)
-	c.suffixPasses.Add(suffix)
+	c.add(slotPlacements, 1)
+	c.add(slotOracleEvals, evals)
+	c.add(slotForwardPasses, forward)
+	c.add(slotSuffixPasses, suffix)
 }
 
-// AddCacheHit / AddCacheMiss count result-cache outcomes for the tenant.
-func (c *TenantCounters) AddCacheHit() {
-	if c != nil {
-		c.cacheHits.Add(1)
-	}
-}
+// AddCacheHit counts one result-cache hit for the tenant.
+func (c *TenantCounters) AddCacheHit() { c.add(slotCacheHits, 1) }
 
 // AddCacheMiss counts one result-cache miss for the tenant.
-func (c *TenantCounters) AddCacheMiss() {
-	if c != nil {
-		c.cacheMisses.Add(1)
-	}
-}
+func (c *TenantCounters) AddCacheMiss() { c.add(slotCacheMisses, 1) }
 
 // AddQueueWait accumulates time a tenant's job spent queued before a
 // worker picked it up.
-func (c *TenantCounters) AddQueueWait(d time.Duration) {
-	if c != nil && d > 0 {
-		c.queueWaitNS.Add(int64(d))
-	}
-}
+func (c *TenantCounters) AddQueueWait(d time.Duration) { c.add(slotQueueWait, max(int64(d), 0)) }
 
 // AddRunTime accumulates a tenant's job execution wall time.
-func (c *TenantCounters) AddRunTime(d time.Duration) {
-	if c != nil && d > 0 {
-		c.runNS.Add(int64(d))
-	}
-}
+func (c *TenantCounters) AddRunTime(d time.Duration) { c.add(slotRunTime, max(int64(d), 0)) }
 
 // AddSchedWait accumulates scheduler queue wait for one task tagged with
 // the tenant.
 func (c *TenantCounters) AddSchedWait(d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.schedTasks.Add(1)
-	if d > 0 {
-		c.schedWaitNS.Add(int64(d))
-	}
+	c.add(slotSchedTasks, 1)
+	c.add(slotSchedWait, max(int64(d), 0))
 }
 
 // AddPlanRepair attributes one execution-plan repair triggered by the
@@ -170,71 +189,40 @@ func (c *TenantCounters) AddSchedWait(d time.Duration) {
 // work is the splicer's abstract cost (depth visits + moved nodes + CSR
 // rows touched, or n+rows for a rebuild).
 func (c *TenantCounters) AddPlanRepair(spliced bool, work int64) {
-	if c == nil {
-		return
-	}
 	if spliced {
-		c.planSplices.Add(1)
+		c.add(slotPlanSplices, 1)
 	} else {
-		c.planRebuilds.Add(1)
+		c.add(slotPlanRebuilds, 1)
 	}
-	if work > 0 {
-		c.planRepairWork.Add(work)
-	}
+	c.add(slotPlanRepairWork, max(work, 0))
 }
 
-// Usage snapshots the counters.
+// value reads one slot in its reported unit.
+func (c *TenantCounters) value(slot int) float64 {
+	v := c.slots[slot].Load()
+	if tenantSeconds[slot] {
+		return time.Duration(v).Seconds()
+	}
+	return float64(v)
+}
+
+// Usage snapshots the counters for the /v1/tenants endpoints; scrapes
+// read the slots directly instead.
 func (c *TenantCounters) Usage() TenantUsage {
+	var u TenantUsage
 	if c == nil {
-		return TenantUsage{}
+		return u
 	}
-	return TenantUsage{
-		Tenant:                c.name,
-		Requests:              c.requests.Load(),
-		JobsSubmitted:         c.jobsSubmitted.Load(),
-		JobsCompleted:         c.jobsCompleted.Load(),
-		JobsFailed:            c.jobsFailed.Load(),
-		JobsCanceled:          c.jobsCanceled.Load(),
-		Placements:            c.placements.Load(),
-		OracleEvaluations:     c.oracleEvals.Load(),
-		ForwardPasses:         c.forwardPasses.Load(),
-		SuffixPasses:          c.suffixPasses.Load(),
-		CacheHits:             c.cacheHits.Load(),
-		CacheMisses:           c.cacheMisses.Load(),
-		JobQueueWaitSeconds:   time.Duration(c.queueWaitNS.Load()).Seconds(),
-		JobRunSeconds:         time.Duration(c.runNS.Load()).Seconds(),
-		SchedQueueWaitSeconds: time.Duration(c.schedWaitNS.Load()).Seconds(),
-		SchedTasks:            c.schedTasks.Load(),
-		PlanSplices:           c.planSplices.Load(),
-		PlanRebuilds:          c.planRebuilds.Load(),
-		PlanRepairWork:        c.planRepairWork.Load(),
+	u.Tenant = c.name
+	uv := reflect.ValueOf(&u).Elem()
+	for i := range c.slots {
+		if f := uv.Field(i + 1); tenantSeconds[i] {
+			f.SetFloat(c.value(i))
+		} else {
+			f.SetInt(c.slots[i].Load())
+		}
 	}
-}
-
-// TenantUsage is a point-in-time copy of one tenant's accumulated
-// resource accounting, as served by GET /v1/tenants/{id}/usage.
-type TenantUsage struct {
-	Tenant                string  `json:"tenant"`
-	Requests              int64   `json:"requests"`
-	JobsSubmitted         int64   `json:"jobs_submitted"`
-	JobsCompleted         int64   `json:"jobs_completed"`
-	JobsFailed            int64   `json:"jobs_failed"`
-	JobsCanceled          int64   `json:"jobs_canceled"`
-	Placements            int64   `json:"placements"`
-	OracleEvaluations     int64   `json:"oracle_evaluations"`
-	ForwardPasses         int64   `json:"forward_passes"`
-	SuffixPasses          int64   `json:"suffix_passes"`
-	CacheHits             int64   `json:"cache_hits"`
-	CacheMisses           int64   `json:"cache_misses"`
-	JobQueueWaitSeconds   float64 `json:"job_queue_wait_seconds"`
-	JobRunSeconds         float64 `json:"job_run_seconds"`
-	SchedQueueWaitSeconds float64 `json:"sched_queue_wait_seconds"`
-	SchedTasks            int64   `json:"sched_tasks"`
-	// PlanSplices/PlanRebuilds split the tenant's PATCH-driven plan
-	// repairs; PlanRepairWork is their accumulated abstract cost.
-	PlanSplices    int64 `json:"plan_splices"`
-	PlanRebuilds   int64 `json:"plan_rebuilds"`
-	PlanRepairWork int64 `json:"plan_repair_work"`
+	return u
 }
 
 // Accountant aggregates per-tenant resource usage. Lookup is a
@@ -333,6 +321,25 @@ func (a *Accountant) Snapshot() []TenantUsage {
 	a.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
+}
+
+// Register declares the tenant series on r as labeled counters
+// tenant_<key>_total{tenant="..."}, all read from one accountant snapshot
+// per scrape.
+func (a *Accountant) Register(r *Registry) {
+	r.Table("tenant", tenantDescs, func() []Row {
+		a.mu.RLock()
+		defer a.mu.RUnlock()
+		rows := make([]Row, 0, len(a.m))
+		for name, c := range a.m {
+			vals := make([]float64, numSlots)
+			for i := range vals {
+				vals[i] = c.value(i)
+			}
+			rows = append(rows, Row{Label: name, Values: vals})
+		}
+		return rows
+	})
 }
 
 // String implements fmt.Stringer for debug logging.

@@ -35,6 +35,7 @@ func TestTenantCountersNilSafe(t *testing.T) {
 	c.AddQueueWait(time.Second)
 	c.AddRunTime(time.Second)
 	c.AddSchedWait(time.Second)
+	c.AddPlanRepair(true, 1)
 	if got := c.Name(); got != "" {
 		t.Errorf("nil.Name() = %q, want \"\"", got)
 	}
@@ -60,6 +61,9 @@ func TestTenantCountersUsage(t *testing.T) {
 	c.AddRunTime(250 * time.Millisecond)
 	c.AddSchedWait(500 * time.Millisecond)
 	c.AddSchedWait(0) // counts the task, adds no wait
+	c.AddPlanRepair(true, 40)
+	c.AddPlanRepair(false, 2)
+	c.AddPlanRepair(false, -1) // counts the rebuild, adds no work
 
 	u := c.Usage()
 	want := TenantUsage{
@@ -69,6 +73,7 @@ func TestTenantCountersUsage(t *testing.T) {
 		CacheHits: 1, CacheMisses: 1,
 		JobQueueWaitSeconds: 1.5, JobRunSeconds: 0.25,
 		SchedQueueWaitSeconds: 0.5, SchedTasks: 2,
+		PlanSplices: 1, PlanRebuilds: 2, PlanRepairWork: 42,
 	}
 	if u != want {
 		t.Errorf("Usage() = %+v\nwant      %+v", u, want)

@@ -33,6 +33,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	if err := json.NewEncoder(&buf).Encode(v); err != nil {
 		s.logf("fpd: encode response: %v", err)
 		s.metrics.RequestErrors.Add(1)
+		s.metrics.ResponseEncodeErrors.Add(1)
 		status = http.StatusInternalServerError
 		buf.Reset()
 		// An errorBody holds only strings and ints: it always encodes.
@@ -303,6 +304,7 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			s.logf("fpd: encode response: job %s: %v", info.ID, err)
 			s.metrics.RequestErrors.Add(1)
+			s.metrics.ResponseEncodeErrors.Add(1)
 			info.Result, info.Batch = nil, nil
 			info.Error = fmt.Sprintf("result not representable in JSON: %v", err)
 			b, _ = json.Marshal(info) // without results, every field encodes
@@ -369,42 +371,20 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, status, map[string]any{"ready": ready, "checks": checks})
 }
 
-// handleMetrics is GET /metrics. The counter snapshot is augmented with
-// sampled gauges: the job-queue depth (auto-maintain backlog), the
-// placement-cache population, the deferred-gang wait queue, and the
-// shared scheduler's queue depth and worker count. The default response
-// is JSON; Prometheus text format (0.0.4) — including the latency
-// histograms — is served for ?format=prometheus or an Accept header
-// preferring text/plain (what a Prometheus scraper sends).
+// handleMetrics is GET /metrics: every unlabeled counter and gauge of the
+// registry as one JSON object by default, or the full Prometheus text
+// exposition (0.0.4) — labeled tenant series and latency histograms
+// included — for ?format=prometheus or an Accept header preferring
+// text/plain (what a Prometheus scraper sends).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.sampleSnapshot()
-
 	if wantsPrometheus(r) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := s.writePrometheus(w, snap); err != nil {
+		if err := s.obs.reg.WritePrometheus(w); err != nil {
 			s.logf("fpd: write prometheus exposition: %v", err)
 		}
 		return
 	}
-	s.writeJSON(w, http.StatusOK, snap)
-}
-
-// sampleSnapshot couples the counter snapshot with the point-in-time
-// gauges sampled from the live subsystems. Shared by /metrics and the
-// stats-history sampler so both report identical readings.
-func (s *Server) sampleSnapshot() MetricsSnapshot {
-	snap := s.metrics.Snapshot()
-	snap.JobQueueDepth = int64(s.jobs.QueueDepth())
-	snap.CacheEntries = int64(s.cache.len())
-	snap.SchedQueueDepth = int64(sched.Default().QueueDepth())
-	snap.SchedWorkers = int64(sched.Default().Workers())
-	waiting, oldest := s.jobs.DeferredStats()
-	snap.JobsDeferredWaiting = int64(waiting)
-	snap.OldestDeferredAgeSeconds = oldest.Seconds()
-	snap.EventsSubscribers = int64(s.events.subscribers())
-	snap.HistorySamples = int64(s.history.Len())
-	snap.TenantsTracked = int64(s.acct.Len())
-	return snap
+	s.writeJSON(w, http.StatusOK, s.obs.reg.Values(false))
 }
 
 // wantsPrometheus decides the /metrics response format: an explicit

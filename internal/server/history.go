@@ -2,64 +2,18 @@ package server
 
 import (
 	"net/http"
-	"reflect"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// In-process stats history: a background sampler snapshots the metrics
-// every HistoryInterval and appends the flattened values — every
-// MetricsSnapshot field plus latency quantiles derived from the live
-// histograms — to a fixed-size ring. GET /v1/stats/history serves a
+// In-process stats history: a background sampler reads the registry's
+// flat view every HistoryInterval — every unlabeled counter and gauge
+// under its /metrics key, plus p50/p90/p99 of each unlabeled latency
+// histogram — into a fixed-size ring. GET /v1/stats/history serves a
 // window of it, so an operator can see the last N minutes of queue
 // depth, deferred-gang backlog and job latency without running a
 // Prometheus server at all.
-
-// historyQuantiles are the quantiles sampled from each tracked latency
-// histogram into the history (job_run_seconds_p50 and friends).
-var historyQuantiles = []struct {
-	suffix string
-	q      float64
-}{
-	{"_p50", 0.50},
-	{"_p90", 0.90},
-	{"_p99", 0.99},
-}
-
-// historyValues flattens a metrics snapshot plus histogram quantiles
-// into the flat map one history sample stores. Snapshot fields keep
-// their json tags as keys, so the history vocabulary and the /metrics
-// vocabulary cannot drift.
-func (s *Server) historyValues(snap MetricsSnapshot) map[string]float64 {
-	sv := reflect.ValueOf(snap)
-	st := sv.Type()
-	vals := make(map[string]float64, st.NumField()+3*len(historyQuantiles))
-	for i := 0; i < st.NumField(); i++ {
-		tag := strings.Split(st.Field(i).Tag.Get("json"), ",")[0]
-		if tag == "" || tag == "-" {
-			continue
-		}
-		switch f := sv.Field(i); f.Kind() {
-		case reflect.Int64:
-			vals[tag] = float64(f.Int())
-		case reflect.Float64:
-			vals[tag] = f.Float()
-		}
-	}
-	for name, h := range map[string]*obs.Histogram{
-		"job_run_seconds":          s.obs.jobRun,
-		"job_queue_wait_seconds":   s.obs.jobQueueWait,
-		"sched_queue_wait_seconds": s.obs.schedWait,
-	} {
-		hs := h.Snapshot()
-		for _, hq := range historyQuantiles {
-			vals[name+hq.suffix] = hs.Quantile(hq.q)
-		}
-	}
-	return vals
-}
 
 // historyLoop is the background sampler; it runs from New until Close.
 func (s *Server) historyLoop() {
@@ -71,7 +25,7 @@ func (s *Server) historyLoop() {
 		case <-s.historyStop:
 			return
 		case <-tick.C:
-			s.history.Add(time.Now().UTC(), s.historyValues(s.sampleSnapshot()))
+			s.history.Add(time.Now().UTC(), s.obs.reg.Values(true))
 		}
 	}
 }

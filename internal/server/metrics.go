@@ -1,154 +1,64 @@
 package server
 
 import (
-	"fmt"
 	"reflect"
+	"strings"
 	"sync/atomic"
+
+	"repro/internal/obs"
 )
 
-// Metrics holds the daemon's monotonic counters (plus one gauge for
-// running jobs). Everything is atomic so handlers, workers and the
-// registry update them without coordination; Snapshot copies the values
-// for the /metrics endpoint, and the handler fills in the two sampled
-// gauges (job-queue depth, cache entries) that live outside this struct.
+// Metrics holds the daemon's own counters and gauges. Each field is one
+// series, declared by its tags and nowhere else: metric is the key (JSON
+// /metrics and stats-history key, fpd_<key> in Prometheus), with ",gauge"
+// for a gauge (counter otherwise), and help is the HELP text. Handlers,
+// workers and the registry update the fields with plain atomic adds;
+// register reads the tags once, at startup.
 type Metrics struct {
-	RequestsTotal  atomic.Int64
-	RequestErrors  atomic.Int64
-	GraphsCreated  atomic.Int64
-	GraphsEvicted  atomic.Int64
-	GraphsDeleted  atomic.Int64
-	GraphsPatched  atomic.Int64
-	EdgesAdded     atomic.Int64
-	EdgesRemoved   atomic.Int64
-	SyncPlacements atomic.Int64
-	Evaluations    atomic.Int64
-	JobsSubmitted  atomic.Int64
-	JobsDeduped    atomic.Int64
-	JobsRunning    atomic.Int64
-	JobsCompleted  atomic.Int64
-	JobsFailed     atomic.Int64
-	JobsCanceled   atomic.Int64
-	JobsRejected   atomic.Int64
-	// JobsDeferred counts gang jobs admitted into the bounded wait queue
-	// instead of the worker queue (scheduler saturated or queue full).
-	JobsDeferred atomic.Int64
-	// FlightsJoined counts placements that joined an identical in-flight
-	// computation (cross-kind dedup) instead of executing their own.
-	FlightsJoined atomic.Int64
-	MaintainJobs  atomic.Int64
-	CacheHits     atomic.Int64
-	CacheMisses   atomic.Int64
-	// CacheInvalidations counts placements dropped by graph mutations.
-	CacheInvalidations atomic.Int64
-	// PlaceWorkersBusy is a gauge of goroutines currently reserved by
-	// running placements (each job contributes its parallelism).
-	PlaceWorkersBusy atomic.Int64
-	// OracleEvaluations counts single-node marginal-gain computations
-	// spent across all placements (core.OracleStats.GainEvaluations).
-	OracleEvaluations atomic.Int64
-	// BatchesSubmitted counts gang-submitted batch placement jobs.
-	BatchesSubmitted atomic.Int64
-	// BatchGraphsInflight is a gauge of batch sub-placements currently
-	// executing on the shared scheduler.
-	BatchGraphsInflight atomic.Int64
-	// EventsPublished counts job lifecycle events fanned out to the SSE
-	// bus; EventsDropped counts per-subscriber deliveries lost to a full
-	// subscriber buffer (the bus never blocks the job engine).
-	EventsPublished atomic.Int64
-	EventsDropped   atomic.Int64
-	// PlanSplices counts execution plans repaired incrementally after a
-	// PATCH batch; PlanRebuilds counts the ones rebuilt from scratch
-	// (splice-cost threshold exceeded, or a forced resync). Their ratio is
-	// the operator's signal that dynamic graphs are staying on the fast
-	// splice path.
-	PlanSplices  atomic.Int64
-	PlanRebuilds atomic.Int64
+	RequestsTotal        atomic.Int64 `metric:"requests_total" help:"HTTP requests served."`
+	RequestErrors        atomic.Int64 `metric:"request_errors" help:"Requests answered with a 4xx or 5xx error, including unencodable responses."`
+	GraphsCreated        atomic.Int64 `metric:"graphs_created" help:"Graphs registered by upload or generator."`
+	GraphsEvicted        atomic.Int64 `metric:"graphs_evicted" help:"Graphs evicted from the registry by its LRU bound."`
+	GraphsDeleted        atomic.Int64 `metric:"graphs_deleted" help:"Graphs deleted by request."`
+	GraphsPatched        atomic.Int64 `metric:"graphs_patched" help:"Edge-mutation batches applied to graphs."`
+	EdgesAdded           atomic.Int64 `metric:"edges_added" help:"Edges added by PATCH batches."`
+	EdgesRemoved         atomic.Int64 `metric:"edges_removed" help:"Edges removed by PATCH batches."`
+	SyncPlacements       atomic.Int64 `metric:"sync_placements" help:"Placements computed synchronously in the request."`
+	Evaluations          atomic.Int64 `metric:"evaluations" help:"Filter-set evaluations served."`
+	JobsSubmitted        atomic.Int64 `metric:"jobs_submitted" help:"Async jobs accepted."`
+	JobsDeduped          atomic.Int64 `metric:"jobs_deduped" help:"Job submissions answered by an identical job already in flight."`
+	JobsRunning          atomic.Int64 `metric:"jobs_running,gauge" help:"Async jobs running now."`
+	JobsCompleted        atomic.Int64 `metric:"jobs_completed" help:"Async jobs that finished successfully."`
+	JobsFailed           atomic.Int64 `metric:"jobs_failed" help:"Async jobs that finished in error."`
+	JobsCanceled         atomic.Int64 `metric:"jobs_canceled" help:"Async jobs canceled."`
+	JobsRejected         atomic.Int64 `metric:"jobs_rejected" help:"Job submissions rejected because the queue was full."`
+	JobsDeferred         atomic.Int64 `metric:"jobs_deferred" help:"Gang jobs parked in the admission wait queue instead of the worker queue."`
+	FlightsJoined        atomic.Int64 `metric:"flights_joined" help:"Placements that joined an identical in-flight computation instead of running their own."`
+	MaintainJobs         atomic.Int64 `metric:"maintain_jobs" help:"Auto-maintain recomputations submitted by PATCH."`
+	CacheHits            atomic.Int64 `metric:"cache_hits" help:"Placement requests answered from the result cache."`
+	CacheMisses          atomic.Int64 `metric:"cache_misses" help:"Placement requests the result cache could not answer."`
+	CacheInvalidations   atomic.Int64 `metric:"cache_invalidations" help:"Cached placements dropped by graph mutations."`
+	PlaceWorkersBusy     atomic.Int64 `metric:"place_workers_busy,gauge" help:"Goroutines reserved by running placements (each contributes its parallelism)."`
+	OracleEvaluations    atomic.Int64 `metric:"oracle_evaluations" help:"Marginal-gain oracle evaluations spent across all placements."`
+	BatchesSubmitted     atomic.Int64 `metric:"batches_submitted" help:"Gang-submitted batch placement jobs."`
+	BatchGraphsInflight  atomic.Int64 `metric:"batch_graphs_inflight,gauge" help:"Batch sub-placements executing on the shared scheduler now."`
+	EventsPublished      atomic.Int64 `metric:"events_published" help:"Job lifecycle events published to the SSE bus."`
+	EventsDropped        atomic.Int64 `metric:"events_dropped" help:"SSE deliveries lost to a full subscriber buffer."`
+	PlanSplices          atomic.Int64 `metric:"plan_splices_total" help:"Execution plans repaired incrementally after a PATCH batch."`
+	PlanRebuilds         atomic.Int64 `metric:"plan_rebuilds_total" help:"Execution plans rebuilt from scratch after a PATCH batch."`
+	ResponseEncodeErrors atomic.Int64 `metric:"response_encode_errors_total" help:"Response bodies (or job-list items) that could not be encoded as JSON."`
 }
 
-// MetricsSnapshot is the JSON shape served by GET /metrics. JobQueueDepth
-// and CacheEntries are gauges sampled at snapshot time by the caller —
-// queue depth is what an operator watches to see auto-maintain load pile
-// up behind the worker pool.
-type MetricsSnapshot struct {
-	RequestsTotal      int64 `json:"requests_total"`
-	RequestErrors      int64 `json:"request_errors"`
-	GraphsCreated      int64 `json:"graphs_created"`
-	GraphsEvicted      int64 `json:"graphs_evicted"`
-	GraphsDeleted      int64 `json:"graphs_deleted"`
-	GraphsPatched      int64 `json:"graphs_patched"`
-	EdgesAdded         int64 `json:"edges_added"`
-	EdgesRemoved       int64 `json:"edges_removed"`
-	SyncPlacements     int64 `json:"sync_placements"`
-	Evaluations        int64 `json:"evaluations"`
-	JobsSubmitted      int64 `json:"jobs_submitted"`
-	JobsDeduped        int64 `json:"jobs_deduped"`
-	JobsRunning        int64 `json:"jobs_running"`
-	JobsCompleted      int64 `json:"jobs_completed"`
-	JobsFailed         int64 `json:"jobs_failed"`
-	JobsCanceled       int64 `json:"jobs_canceled"`
-	JobsRejected       int64 `json:"jobs_rejected"`
-	JobsDeferred       int64 `json:"jobs_deferred"`
-	FlightsJoined      int64 `json:"flights_joined"`
-	JobQueueDepth      int64 `json:"job_queue_depth"`
-	MaintainJobs       int64 `json:"maintain_jobs"`
-	CacheHits          int64 `json:"cache_hits"`
-	CacheMisses        int64 `json:"cache_misses"`
-	CacheInvalidations int64 `json:"cache_invalidations"`
-	CacheEntries       int64 `json:"cache_entries"`
-	PlaceWorkersBusy   int64 `json:"place_workers_busy"`
-	OracleEvaluations  int64 `json:"oracle_evaluations"`
-	BatchesSubmitted   int64 `json:"batches_submitted"`
-	// BatchGraphsInflight counts batch sub-placements running right now;
-	// SchedQueueDepth and SchedWorkers are sampled from the process-wide
-	// scheduler at snapshot time — queue depth is what an operator
-	// watches to see oracle work pile up behind the shared pool.
-	BatchGraphsInflight int64 `json:"batch_graphs_inflight"`
-	SchedQueueDepth     int64 `json:"sched_queue_depth"`
-	SchedWorkers        int64 `json:"sched_workers"`
-	// JobsDeferredWaiting is a gauge of gang jobs currently parked in the
-	// admission wait queue, and OldestDeferredAgeSeconds the age of the
-	// one waiting longest — together they tell an operator whether
-	// deferred gangs are draining or starving. Both are sampled at
-	// snapshot time by the /metrics handler.
-	JobsDeferredWaiting      int64   `json:"jobs_deferred_waiting"`
-	OldestDeferredAgeSeconds float64 `json:"oldest_deferred_age_seconds"`
-	// EventsPublished/EventsDropped mirror the SSE bus counters;
-	// EventsSubscribers, HistorySamples and TenantsTracked are gauges
-	// sampled at snapshot time (live SSE streams, stats-history ring
-	// population, distinct tenants the accountant has seen).
-	EventsPublished   int64 `json:"events_published"`
-	EventsDropped     int64 `json:"events_dropped"`
-	EventsSubscribers int64 `json:"events_subscribers"`
-	HistorySamples    int64 `json:"history_samples"`
-	TenantsTracked    int64 `json:"tenants_tracked"`
-	// PlanSplices/PlanRebuilds split PATCH-driven execution-plan repairs
-	// into incremental splices vs from-scratch rebuilds.
-	PlanSplices  int64 `json:"plan_splices_total"`
-	PlanRebuilds int64 `json:"plan_rebuilds_total"`
-}
-
-// Snapshot copies every counter into the same-named MetricsSnapshot
-// field by reflection, so adding a Metrics field without its snapshot
-// counterpart is impossible to miss: the mismatch panics on the first
-// snapshot (and TestMetricsSnapshotDrift pins it at test time). Fields
-// that exist only on the snapshot (sampled gauges) are left for the
-// caller to fill.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	var snap MetricsSnapshot
+// register declares every Metrics field on reg.
+func (m *Metrics) register(reg *obs.Registry) {
 	mv := reflect.ValueOf(m).Elem()
-	sv := reflect.ValueOf(&snap).Elem()
-	mt := mv.Type()
-	for i := 0; i < mt.NumField(); i++ {
-		name := mt.Field(i).Name
-		counter, ok := mv.Field(i).Addr().Interface().(*atomic.Int64)
-		if !ok {
-			panic(fmt.Sprintf("server: Metrics.%s is not an atomic.Int64", name))
+	for i := 0; i < mv.NumField(); i++ {
+		f := mv.Type().Field(i)
+		key, kind, _ := strings.Cut(f.Tag.Get("metric"), ",")
+		if kind == "" {
+			kind = "counter"
 		}
-		target := sv.FieldByName(name)
-		if !target.IsValid() {
-			panic(fmt.Sprintf("server: Metrics.%s has no MetricsSnapshot counterpart", name))
-		}
-		target.SetInt(counter.Load())
+		c := mv.Field(i).Addr().Interface().(*atomic.Int64)
+		reg.Scalar(obs.Desc{Key: key, Help: f.Tag.Get("help"), Kind: kind}, func() float64 { return float64(c.Load()) })
 	}
-	return snap
 }

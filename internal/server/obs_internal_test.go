@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -12,46 +13,64 @@ import (
 	"repro/internal/obs"
 )
 
-// TestMetricsSnapshotDrift pins the counter plumbing end to end: every
-// Metrics field must land in the same-named MetricsSnapshot field, every
-// snapshot field must be emitted as an fpd_-prefixed Prometheus sample
-// with the right TYPE, and the exposition must pass the strict linter.
-// Adding a counter without one of its counterparts fails here (the
-// reflective Snapshot additionally panics at runtime).
+// TestMetricsSnapshotDrift pins the one-declaration contract end to end:
+// every Metrics field, sampled gauge and tenant field is declared once,
+// and each appears in every view it belongs to — the unlabeled series in
+// JSON /metrics, in the stats-history sample and as fpd_<key> in the
+// Prometheus exposition with its value, TYPE and HELP; the tenant fields
+// as labeled fpd_tenant_<key>_total counters. Every TYPE line carries a
+// HELP line, and the exposition passes the strict linter.
 func TestMetricsSnapshotDrift(t *testing.T) {
-	var m Metrics
-	mv := reflect.ValueOf(&m).Elem()
+	s := New(Config{})
+	defer s.Close()
+	mv := reflect.ValueOf(s.metrics).Elem()
 	for i := 0; i < mv.NumField(); i++ {
 		mv.Field(i).Addr().Interface().(*atomic.Int64).Store(int64(i + 1))
 	}
-	snap := m.Snapshot()
-	sv := reflect.ValueOf(snap)
-	mt := mv.Type()
-	for i := 0; i < mt.NumField(); i++ {
-		name := mt.Field(i).Name
-		if got := sv.FieldByName(name).Int(); got != int64(i+1) {
-			t.Errorf("snapshot.%s = %d, want %d", name, got, i+1)
-		}
-	}
+	s.acct.Tenant("acme").AddRequest()
 
+	flat := s.obs.reg.Values(false)
+	history := s.obs.reg.Values(true)
 	var buf bytes.Buffer
-	if err := writePrometheusSnapshot(&buf, snap); err != nil {
+	if err := s.obs.reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
-	st := reflect.TypeOf(snap)
-	for i := 0; i < st.NumField(); i++ {
-		tag := strings.Split(st.Field(i).Tag.Get("json"), ",")[0]
-		name := "fpd_" + tag
-		if !strings.Contains(text, "\n"+name+" ") && !strings.HasPrefix(text, name+" ") {
-			t.Errorf("metric %s missing from exposition", name)
+
+	for i := 0; i < mv.NumField(); i++ {
+		f := mv.Type().Field(i)
+		key, kind, _ := strings.Cut(f.Tag.Get("metric"), ",")
+		if kind == "" {
+			kind = "counter"
 		}
-		wantType := "counter"
-		if snapshotGauges[tag] {
-			wantType = "gauge"
+		if got, ok := flat[key]; !ok || got != float64(i+1) {
+			t.Errorf("Metrics.%s: /metrics[%q] = %v, %v; want %d", f.Name, key, got, ok, i+1)
 		}
-		if !strings.Contains(text, "# TYPE "+name+" "+wantType+"\n") {
-			t.Errorf("metric %s missing %q TYPE line", name, wantType)
+		if !strings.Contains(text, fmt.Sprintf("# TYPE fpd_%s %s\nfpd_%s %d\n", key, kind, key, i+1)) {
+			t.Errorf("Metrics.%s: exposition lacks fpd_%s as a %s with value %d", f.Name, key, kind, i+1)
+		}
+	}
+	for key := range flat {
+		if _, ok := history[key]; !ok {
+			t.Errorf("history sample lacks %q", key)
+		}
+		if !strings.Contains(text, "\nfpd_"+key+" ") {
+			t.Errorf("exposition lacks a sample of fpd_%s", key)
+		}
+	}
+	ut := reflect.TypeOf(obs.TenantUsage{})
+	for i := 1; i < ut.NumField(); i++ {
+		name := "fpd_tenant_" + ut.Field(i).Tag.Get("json") + "_total"
+		if !strings.Contains(text, "# TYPE "+name+" counter\n"+name+`{tenant="acme"} `) {
+			t.Errorf("TenantUsage.%s: exposition lacks counter %s{tenant=\"acme\"}", ut.Field(i).Name, name)
+		}
+	}
+	for _, line := range strings.Split(text, "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ = strings.Cut(name, " ")
+			if !strings.Contains(text, "# HELP "+name+" ") {
+				t.Errorf("%s has a TYPE line but no HELP line", name)
+			}
 		}
 	}
 	if err := obs.LintPrometheus(strings.NewReader(text)); err != nil {

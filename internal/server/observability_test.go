@@ -137,17 +137,81 @@ func TestTenantAccountingEndToEnd(t *testing.T) {
 	}
 }
 
-func TestTenantAccountingDisabled(t *testing.T) {
-	ts := newTestServer(t, server.Config{DisableAccounting: true})
-	if code := doJSON(t, "GET", ts.URL+"/v1/tenants", nil, nil); code != http.StatusNotFound {
-		t.Errorf("tenant list with accounting disabled: status %d, want 404", code)
+// TestOracleEvaluationLedgersAgree: a placement's oracle work is charged
+// in one place, to the server-wide oracle_evaluations and to the tenant
+// alike. After a solo gall and a batch of 3 the server-wide count equals
+// the sum of the results' gain_evaluations; after a further job canceled
+// mid-placement it still equals the sum over tenants.
+func TestOracleEvaluationLedgersAgree(t *testing.T) {
+	ts := newTestServer(t, server.Config{})
+	place := func(tenant, url string, body any) server.JobInfo {
+		t.Helper()
+		var job server.JobInfo
+		if code, _ := doJSONHeaders(t, "POST", ts.URL+url, map[string]string{"X-FP-Tenant": tenant}, body, &job); code != http.StatusAccepted {
+			t.Fatalf("%s: status %d, want 202", url, code)
+		}
+		return job
 	}
-	// Requests with tenant headers still work; they just aren't accounted.
-	var info server.GraphInfo
-	code, _ := doJSONHeaders(t, "POST", ts.URL+"/v1/graphs", map[string]string{"X-FP-Tenant": "acme"},
-		server.GraphSpec{Edges: diamondEdges}, &info)
-	if code != http.StatusCreated {
-		t.Errorf("upload with accounting disabled: status %d", code)
+	ids := make([]string, 4)
+	for i := range ids {
+		ids[i] = uploadLayered(t, ts.URL, int64(i+1)).ID
+	}
+	var results []*server.PlaceResult
+	solo := waitJob(t, ts.URL, place("solo", "/v1/graphs/"+ids[0]+"/place", server.PlaceSpec{Algorithm: "gall", K: 3}).ID)
+	results = append(results, solo.Result)
+	batch := waitJob(t, ts.URL, place("fleet", "/v1/placements:batch",
+		server.BatchPlaceSpec{Graphs: ids[1:], Spec: server.PlaceSpec{Algorithm: "gall", K: 2}}).ID)
+	for _, item := range batch.Batch {
+		results = append(results, item.Result)
+	}
+	var want float64
+	for _, r := range results {
+		if r == nil || r.Oracle == nil {
+			t.Fatalf("completed placement without oracle stats: %+v", r)
+		}
+		want += float64(r.Oracle.GainEvaluations)
+	}
+	if got := metricsSnapshot(t, ts.URL)["oracle_evaluations"]; got != want || want == 0 {
+		t.Errorf("oracle_evaluations = %v, completed results report %v", got, want)
+	}
+
+	var big server.GraphInfo
+	if code := doJSON(t, "POST", ts.URL+"/v1/graphs", server.GraphSpec{Generator: "dag", N: 4000, P: 0.005, Seed: 3}, &big); code != http.StatusCreated {
+		t.Fatalf("upload dag: status %d", code)
+	}
+	slow := place("slow", "/v1/graphs/"+big.ID+"/place", server.PlaceSpec{Algorithm: "celf", K: 4000})
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		var j server.JobInfo
+		doJSON(t, "GET", ts.URL+"/v1/jobs/"+slow.ID, nil, &j)
+		if j.State == server.JobRunning || time.Now().After(deadline) {
+			break
+		}
+	}
+	doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+slow.ID, nil, nil)
+	if done := waitJob(t, ts.URL, slow.ID); done.State != server.JobCanceled {
+		t.Fatalf("slow job ended %s, want canceled", done.State)
+	}
+	// The worker charges after Place returns, marginally after the job
+	// record turns terminal; poll until the ledgers settle.
+	var got, tenants float64
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		got = metricsSnapshot(t, ts.URL)["oracle_evaluations"]
+		var list struct {
+			Tenants []struct {
+				OracleEvaluations float64 `json:"oracle_evaluations"`
+			} `json:"tenants"`
+		}
+		doJSON(t, "GET", ts.URL+"/v1/tenants", nil, &list)
+		tenants = 0
+		for _, u := range list.Tenants {
+			tenants += u.OracleEvaluations
+		}
+		if got == tenants || time.Now().After(deadline) {
+			break
+		}
+	}
+	if got != tenants || got < want {
+		t.Errorf("after the canceled job: oracle_evaluations = %v, sum over tenants = %v (completed work %v)", got, tenants, want)
 	}
 }
 

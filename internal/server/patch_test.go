@@ -23,9 +23,9 @@ func patchJSON(t *testing.T, base, id string, spec server.PatchSpec, out *server
 	return doJSON(t, "PATCH", base+"/v1/graphs/"+id+"/edges", spec, dst)
 }
 
-func metricsSnapshot(t *testing.T, base string) server.MetricsSnapshot {
+func metricsSnapshot(t *testing.T, base string) map[string]float64 {
 	t.Helper()
-	var snap server.MetricsSnapshot
+	var snap map[string]float64
 	if code := doJSON(t, "GET", base+"/metrics", nil, &snap); code != http.StatusOK {
 		t.Fatalf("metrics: status %d", code)
 	}
@@ -93,7 +93,7 @@ func TestPatchRoundTripWithCacheInvalidation(t *testing.T) {
 	}
 
 	snap := metricsSnapshot(t, ts.URL)
-	if snap.GraphsPatched != 1 || snap.EdgesAdded != 4 || snap.CacheInvalidations < 1 {
+	if snap["graphs_patched"] != 1 || snap["edges_added"] != 4 || snap["cache_invalidations"] < 1 {
 		t.Errorf("metrics = %+v", snap)
 	}
 }
@@ -218,8 +218,8 @@ func TestPatchAutoMaintain(t *testing.T) {
 	}
 
 	snap := metricsSnapshot(t, ts.URL)
-	if snap.MaintainJobs != 2 {
-		t.Errorf("maintain_jobs = %d, want 2", snap.MaintainJobs)
+	if snap["maintain_jobs"] != 2 {
+		t.Errorf("maintain_jobs = %v, want 2", snap["maintain_jobs"])
 	}
 }
 
@@ -243,9 +243,9 @@ func TestPatchPlanSpliceReporting(t *testing.T) {
 	}
 
 	snap := metricsSnapshot(t, ts.URL)
-	if snap.PlanSplices != 1 || snap.PlanRebuilds != 0 {
-		t.Errorf("plan repair metrics = %d splices / %d rebuilds, want 1 / 0",
-			snap.PlanSplices, snap.PlanRebuilds)
+	if snap["plan_splices_total"] != 1 || snap["plan_rebuilds_total"] != 0 {
+		t.Errorf("plan repair metrics = %v splices / %v rebuilds, want 1 / 0",
+			snap["plan_splices_total"], snap["plan_rebuilds_total"])
 	}
 	var usage obs.TenantUsage
 	if code := doJSON(t, "GET", ts.URL+"/v1/tenants/default/usage", nil, &usage); code != http.StatusOK {
@@ -270,8 +270,8 @@ func TestPatchSpliceDisabled(t *testing.T) {
 	if pr.PlanSpliced || pr.PlanRepair == nil || pr.PlanRepair.Reason == "" {
 		t.Fatalf("splice not disabled: %+v (repair %+v)", pr, pr.PlanRepair)
 	}
-	if snap := metricsSnapshot(t, ts.URL); snap.PlanRebuilds != 1 || snap.PlanSplices != 0 {
-		t.Errorf("metrics = %d splices / %d rebuilds, want 0 / 1", snap.PlanSplices, snap.PlanRebuilds)
+	if snap := metricsSnapshot(t, ts.URL); snap["plan_rebuilds_total"] != 1 || snap["plan_splices_total"] != 0 {
+		t.Errorf("metrics = %v splices / %v rebuilds, want 0 / 1", snap["plan_splices_total"], snap["plan_rebuilds_total"])
 	}
 }
 
@@ -406,12 +406,12 @@ func TestPatchStormSpliceStress(t *testing.T) {
 		t.Fatalf("after storm: %+v, want 40 edges and %d patches", got, mutators*rounds)
 	}
 	snap := metricsSnapshot(t, ts.URL)
-	if snap.GraphsPatched != mutators*rounds {
-		t.Fatalf("graphs_patched = %d, want %d", snap.GraphsPatched, mutators*rounds)
+	if snap["graphs_patched"] != mutators*rounds {
+		t.Fatalf("graphs_patched = %v, want %v", snap["graphs_patched"], mutators*rounds)
 	}
-	if snap.PlanSplices+snap.PlanRebuilds < snap.GraphsPatched {
-		t.Fatalf("plan repairs %d+%d < patches %d: a batch skipped plan repair",
-			snap.PlanSplices, snap.PlanRebuilds, snap.GraphsPatched)
+	if snap["plan_splices_total"]+snap["plan_rebuilds_total"] < snap["graphs_patched"] {
+		t.Fatalf("plan repairs %v+%v < patches %v: a batch skipped plan repair",
+			snap["plan_splices_total"], snap["plan_rebuilds_total"], snap["graphs_patched"])
 	}
 	// The fan's Φ(∅): root emits 1 copy to each of its 40 children.
 	var ev server.PlaceResult
@@ -426,7 +426,7 @@ func TestPatchStormSpliceStress(t *testing.T) {
 func TestMetricsGauges(t *testing.T) {
 	ts := newTestServer(t, server.Config{})
 	snap := metricsSnapshot(t, ts.URL)
-	if snap.JobQueueDepth != 0 || snap.CacheEntries != 0 {
+	if snap["job_queue_depth"] != 0 || snap["cache_entries"] != 0 {
 		t.Errorf("fresh gauges = %+v", snap)
 	}
 }

@@ -164,12 +164,14 @@ func (sp *PlaceSpec) cacheKey(graphID string, version int64, sources []int) stri
 }
 
 // execute runs the placement through core.Place and evaluates the paper's
-// report quantities for the chosen filter set. metrics (optional) receives
-// the per-job worker gauge and the oracle-call counter; tc (optional)
-// receives the tenant-level attribution of the same work — core.Place
-// charges it post-algorithm, so accounting can never perturb placements.
-// A trace carried by ctx (async jobs attach one) records the evaluator
-// build and the per-stage placement timing.
+// report quantities for the chosen filter set. It is the one place a
+// placement's oracle work is charged: to metrics (optional; also the
+// per-job worker gauge) and to the tenant tc (optional), from the Result
+// Place returns on success, error and cancellation alike, so the
+// server-wide and per-tenant ledgers always agree. A Result with no
+// Strategy means Place refused to start, and nothing is charged. A trace
+// carried by ctx (async jobs attach one) records the evaluator build and
+// the per-stage placement timing.
 func (sp *PlaceSpec) execute(ctx context.Context, spec algoSpec, m *flow.Model, graphID string, metrics *Metrics, tc *obs.TenantCounters) (*PlaceResult, error) {
 	tr := obs.TraceFrom(ctx)
 	bsp := tr.Begin("build-evaluator")
@@ -185,13 +187,16 @@ func (sp *PlaceSpec) execute(ctx context.Context, spec algoSpec, m *flow.Model, 
 		Seed:        sp.Seed,
 		Trace:       tr,
 		Tenant:      tc.Name(),
-		Account:     tc,
 	})
+	if pres.Strategy != "" {
+		evals := int64(pres.Stats.GainEvaluations)
+		tc.AddPlacement(evals, pres.Passes.Forward, pres.Passes.Suffix)
+		if metrics != nil {
+			metrics.OracleEvaluations.Add(evals)
+		}
+	}
 	if err != nil {
 		return nil, err
-	}
-	if metrics != nil {
-		metrics.OracleEvaluations.Add(int64(pres.Stats.GainEvaluations))
 	}
 	filters := pres.Filters
 	if filters == nil {

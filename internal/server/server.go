@@ -83,10 +83,6 @@ type Config struct {
 	// plan rebuild. 0 picks the flow package default (0.25); negative
 	// disables splicing so every PATCH rebuilds.
 	SpliceMaxCone float64
-	// DisableAccounting turns per-tenant resource accounting off entirely:
-	// no accountant is built, /v1/tenants endpoints return 404, and the
-	// labeled tenant series are absent from /metrics.
-	DisableAccounting bool
 	// Version labels the fpd_build_info gauge (default "dev"); cmd/fpd
 	// sets it from its build metadata.
 	Version string
@@ -144,8 +140,7 @@ type Server struct {
 	maxBodyBytes   int64
 	maxParallelism int
 
-	// acct aggregates per-tenant resource usage; nil when accounting is
-	// disabled (every accounting call is nil-safe).
+	// acct aggregates per-tenant resource usage.
 	acct *obs.Accountant
 	// events fans job lifecycle events out to SSE subscribers.
 	events *eventBus
@@ -174,10 +169,7 @@ func New(cfg Config) *Server {
 	}
 	m := &Metrics{}
 	so := newServerObs()
-	var acct *obs.Accountant
-	if !cfg.DisableAccounting {
-		acct = obs.NewAccountant(cfg.MaxTenants)
-	}
+	acct := obs.NewAccountant(cfg.MaxTenants)
 	events := newEventBus(m)
 	eo := &engineObs{
 		queueWait:     so.jobQueueWait,
@@ -217,8 +209,35 @@ func New(cfg Config) *Server {
 		version:          cfg.Version,
 	}
 	s.registry.SetSpliceOptions(flow.SpliceOptions{MaxConeFrac: cfg.SpliceMaxCone})
-	registerTenantSeries(so.reg, acct)
-	so.reg.Info("fpd_build_info",
+	m.register(so.reg)
+	// Gauges sampled from the live subsystems at read time.
+	for _, g := range []struct {
+		key, help string
+		read      func() float64
+	}{
+		{"job_queue_depth", "Async jobs waiting for a worker (auto-maintain backlog included).",
+			func() float64 { return float64(s.jobs.QueueDepth()) }},
+		{"cache_entries", "Placements held in the result cache.",
+			func() float64 { return float64(s.cache.len()) }},
+		{"sched_queue_depth", "Oracle tasks waiting in the shared scheduler.",
+			func() float64 { return float64(sched.Default().QueueDepth()) }},
+		{"sched_workers", "Workers of the shared scheduler.",
+			func() float64 { return float64(sched.Default().Workers()) }},
+		{"jobs_deferred_waiting", "Gang jobs parked in the admission wait queue now.",
+			func() float64 { n, _ := s.jobs.DeferredStats(); return float64(n) }},
+		{"oldest_deferred_age_seconds", "Age of the gang job parked longest in the admission wait queue.",
+			func() float64 { _, age := s.jobs.DeferredStats(); return age.Seconds() }},
+		{"events_subscribers", "Live SSE event streams.",
+			func() float64 { return float64(s.events.subscribers()) }},
+		{"history_samples", "Samples held in the stats-history ring.",
+			func() float64 { return float64(s.history.Len()) }},
+		{"tenants_tracked", "Distinct tenants the accountant has seen.",
+			func() float64 { return float64(acct.Len()) }},
+	} {
+		so.reg.Scalar(obs.Desc{Key: g.key, Help: g.help, Kind: "gauge"}, g.read)
+	}
+	acct.Register(so.reg)
+	so.reg.Info("build_info",
 		"Build metadata of the running fpd binary; the value is always 1.",
 		map[string]string{"version": cfg.Version, "go_version": runtime.Version()})
 	// Route latency is labeled by the REGISTERED pattern, wrapped here at
@@ -252,7 +271,7 @@ func (s *Server) instrument(pattern string, h http.HandlerFunc) http.HandlerFunc
 	}
 }
 
-// Obs exposes the latency registry (tests and embedders scrape it
+// Obs exposes the metrics registry (tests and embedders scrape it
 // without going through the HTTP endpoint).
 func (s *Server) Obs() *obs.Registry { return s.obs.reg }
 

@@ -213,13 +213,15 @@ func diamondChainEdges(d int) string {
 // TestUnencodableResultIs500 evaluates a chain of 1100 diamonds, whose
 // 2^1100 source-to-sink paths overflow float64: the result cannot be
 // encoded as JSON, and the answer must be a JSON 500 that carries the
-// request id, never a 200 with an empty body.
+// request id, never a 200 with an empty body. The failure ticks
+// response_encode_errors_total exactly once.
 func TestUnencodableResultIs500(t *testing.T) {
 	ts := newTestServer(t, server.Config{})
 	var info server.GraphInfo
 	if code := doJSON(t, "POST", ts.URL+"/v1/graphs", server.GraphSpec{Edges: diamondChainEdges(1100)}, &info); code != http.StatusCreated {
 		t.Fatalf("upload: status %d", code)
 	}
+	before := metricsSnapshot(t, ts.URL)["response_encode_errors_total"]
 	req, err := http.NewRequest("GET", ts.URL+"/v1/graphs/"+info.ID+"/evaluate?filters=3", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -240,13 +242,17 @@ func TestUnencodableResultIs500(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError || body.Error == "" || body.RequestID != "overflow-1" {
 		t.Errorf("status %d, body %+v; want 500 with an error and request id overflow-1", resp.StatusCode, body)
 	}
+	if d := metricsSnapshot(t, ts.URL)["response_encode_errors_total"] - before; d != 1 {
+		t.Errorf("response_encode_errors_total rose by %v, want 1", d)
+	}
 }
 
 // TestListJobsIsolatesUnencodableJob: one gall job on the overflowing
 // diamond-1100 chain must not break GET /v1/jobs for everyone. The listing
 // is a 200 carrying both jobs; the bad one has its result dropped and an
 // error in its place, the good one keeps its result, and the bad job's own
-// GET stays the JSON 500.
+// GET stays the JSON 500. Each of the two failures — the listed item and
+// the job's own GET — ticks response_encode_errors_total exactly once.
 func TestListJobsIsolatesUnencodableJob(t *testing.T) {
 	ts := newTestServer(t, server.Config{})
 	var big server.GraphInfo
@@ -288,6 +294,13 @@ func TestListJobsIsolatesUnencodableJob(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	before := metricsSnapshot(t, ts.URL)["response_encode_errors_total"]
+	if code := doJSON(t, "GET", ts.URL+"/v1/jobs", nil, &list); code != http.StatusOK {
+		t.Fatalf("GET /v1/jobs: status %d, want 200", code)
+	}
+	if d := metricsSnapshot(t, ts.URL)["response_encode_errors_total"] - before; d != 1 {
+		t.Errorf("one listing with one unencodable job: response_encode_errors_total rose by %v, want 1", d)
+	}
 	byID := map[string]server.JobInfo{}
 	for _, j := range list.Jobs {
 		byID[j.ID] = j
@@ -301,8 +314,12 @@ func TestListJobsIsolatesUnencodableJob(t *testing.T) {
 	var e struct {
 		Error string `json:"error"`
 	}
+	before = metricsSnapshot(t, ts.URL)["response_encode_errors_total"]
 	if code := doJSON(t, "GET", ts.URL+"/v1/jobs/"+bad.ID, nil, &e); code != http.StatusInternalServerError || e.Error == "" {
 		t.Errorf("GET bad job: status %d, error %q; want a JSON 500", code, e.Error)
+	}
+	if d := metricsSnapshot(t, ts.URL)["response_encode_errors_total"] - before; d != 1 {
+		t.Errorf("GET bad job: response_encode_errors_total rose by %v, want 1", d)
 	}
 }
 
@@ -461,15 +478,15 @@ func TestAsyncGreedyMatchesLibraryAndCaches(t *testing.T) {
 		t.Errorf("cached result = %+v, want cached FR %v", cached, wantFR)
 	}
 
-	var ms server.MetricsSnapshot
+	var ms map[string]float64
 	if code := doJSON(t, "GET", ts.URL+"/metrics", nil, &ms); code != http.StatusOK {
 		t.Fatalf("metrics: status %d", code)
 	}
-	if ms.CacheHits != 1 || ms.CacheMisses != 1 {
-		t.Errorf("cache hits/misses = %d/%d, want 1/1", ms.CacheHits, ms.CacheMisses)
+	if ms["cache_hits"] != 1 || ms["cache_misses"] != 1 {
+		t.Errorf("cache hits/misses = %v/%v, want 1/1", ms["cache_hits"], ms["cache_misses"])
 	}
-	if ms.JobsSubmitted != 1 || ms.JobsCompleted != 1 {
-		t.Errorf("jobs submitted/completed = %d/%d, want 1/1", ms.JobsSubmitted, ms.JobsCompleted)
+	if ms["jobs_submitted"] != 1 || ms["jobs_completed"] != 1 {
+		t.Errorf("jobs submitted/completed = %v/%v, want 1/1", ms["jobs_submitted"], ms["jobs_completed"])
 	}
 
 	// A different k is a different cache slot.
@@ -526,10 +543,10 @@ func TestConcurrentJobSubmission(t *testing.T) {
 			t.Errorf("FR(k=%d) = %v < FR(k=%d) = %v", i+1, frs[i], i, frs[i-1])
 		}
 	}
-	var ms server.MetricsSnapshot
+	var ms map[string]float64
 	doJSON(t, "GET", ts.URL+"/metrics", nil, &ms)
-	if ms.JobsCompleted != jobs {
-		t.Errorf("jobs_completed = %d, want %d", ms.JobsCompleted, jobs)
+	if ms["jobs_completed"] != jobs {
+		t.Errorf("jobs_completed = %v, want %v", ms["jobs_completed"], jobs)
 	}
 }
 
@@ -578,10 +595,10 @@ func TestRegistryLRUEviction(t *testing.T) {
 			t.Errorf("graph %s gone: status %d", id, code)
 		}
 	}
-	var ms server.MetricsSnapshot
+	var ms map[string]float64
 	doJSON(t, "GET", ts.URL+"/metrics", nil, &ms)
-	if ms.GraphsEvicted != 1 || ms.GraphsCreated != 3 {
-		t.Errorf("created/evicted = %d/%d, want 3/1", ms.GraphsCreated, ms.GraphsEvicted)
+	if ms["graphs_evicted"] != 1 || ms["graphs_created"] != 3 {
+		t.Errorf("created/evicted = %v/%v, want 3/1", ms["graphs_created"], ms["graphs_evicted"])
 	}
 }
 
@@ -705,14 +722,14 @@ func TestParallelPlacement(t *testing.T) {
 		t.Fatalf("negative parallelism: status %d, want 400", code)
 	}
 
-	var snap server.MetricsSnapshot
+	var snap map[string]float64
 	if code := doJSON(t, "GET", ts.URL+"/metrics", nil, &snap); code != http.StatusOK {
 		t.Fatalf("metrics: status %d", code)
 	}
-	if snap.OracleEvaluations == 0 {
+	if snap["oracle_evaluations"] == 0 {
 		t.Error("oracle_evaluations gauge never moved")
 	}
-	if snap.PlaceWorkersBusy != 0 {
-		t.Errorf("place_workers_busy = %d after all jobs finished", snap.PlaceWorkersBusy)
+	if snap["place_workers_busy"] != 0 {
+		t.Errorf("place_workers_busy = %v after all jobs finished", snap["place_workers_busy"])
 	}
 }
